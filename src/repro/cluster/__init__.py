@@ -20,12 +20,7 @@ from repro.cluster.envelope import (
 )
 from repro.cluster.faults import StreamFaultInjector, StreamVerdict, parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
-from repro.cluster.metrics import (
-    ClusterEpochResult,
-    ClusterRunMetrics,
-    ClusterTrafficLedger,
-    EdgeCounters,
-)
+from repro.cluster.metrics import ClusterRunMetrics, ClusterTrafficLedger, EdgeCounters
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 
@@ -44,7 +39,6 @@ __all__ = [
     "FrameAssembler",
     "FrameReader",
     "FrameWriter",
-    "ClusterEpochResult",
     "ClusterRunMetrics",
     "ClusterTrafficLedger",
     "EdgeCounters",

@@ -39,22 +39,12 @@ from repro.runtime.transport import RetransmitPolicy
 __all__ = ["StreamVerdict", "StreamFaultInjector", "parcel_fate"]
 
 
-#: What the injected fault model does to one envelope write — the
-#: substrate-neutral :class:`~repro.runtime.faults.KeyedVerdict` under
-#: its historical cluster name.
+#: The cluster's historical names for the substrate-neutral keyed oracle
+#: (:class:`~repro.runtime.faults.KeyedFaultInjector`) and its verdict.
+#: Stream labels are unchanged — same seed, same verdicts as every
+#: earlier release.
+StreamFaultInjector = KeyedFaultInjector
 StreamVerdict = KeyedVerdict
-
-
-class StreamFaultInjector(KeyedFaultInjector):
-    """Deterministic, order-independent fault oracle for stream sends.
-
-    The keyed-draw logic now lives in
-    :class:`~repro.runtime.faults.KeyedFaultInjector` so the runtime can
-    replay the identical schedule (``RuntimeConfig.keyed_faults``); this
-    subclass exists to keep the cluster's public name and import path
-    stable.  Stream labels are unchanged — same seed, same verdicts as
-    every earlier release.
-    """
 
 
 def parcel_fate(

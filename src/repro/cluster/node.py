@@ -22,33 +22,28 @@ link with a MAC-layer ARQ on top:
 * a sender giving up does **not** retract a delivered copy: downstream
   correctness derives from the manifests receivers really merged.
 
-Roles reuse the protocol role objects unchanged: the aggregator holds
-and waits (merge at ``epoch launch + hold_time × height``, or as soon
-as every expected child arrived), the querier turns the final manifest
-into the paper's reported-failure subset and evaluates the exact SUM
-over the survivors (:class:`~repro.runtime.recovery.EpochRecovery`).
+Roles reuse the protocol role objects unchanged, under the epoch rules
+the event runtime uses too (:mod:`repro.runtime.epochs`): the
+aggregator holds and waits in a :class:`~repro.runtime.epochs.MergeInbox`
+until its deadline or every expected child, and the querier settles the
+epoch through a :class:`~repro.runtime.epochs.Settlement`.  The nodes
+only feed those rules socket arrivals and :class:`ClusterClock` waits.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.errors import (
-    ConfigurationError,
-    SecurityError,
-    SimulationError,
-    WireDecodeError,
-    WireEncodeError,
-)
+from repro.errors import ConfigurationError, SimulationError, WireDecodeError, WireEncodeError
 from repro.network.channel import EdgeClass
 from repro.cluster.clock import ClusterClock
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.faults import StreamFaultInjector
 from repro.cluster.framing import FrameReader, FrameWriter
-from repro.cluster.metrics import ClusterEpochResult, ClusterTrafficLedger
+from repro.cluster.metrics import ClusterTrafficLedger
 from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
-from repro.runtime.recovery import EpochRecovery
-from repro.runtime.transport import RetransmitPolicy, TransportObserver
+from repro.runtime.epochs import EpochOutcome, EpochPlan, MergeInbox, Settlement
+from repro.runtime.transport import RetransmitPolicy, TransportObserver, transport_event
 from repro.utils.rng import DeterministicRandom
 from repro.wire.codec import PSRCodec
 
@@ -208,7 +203,6 @@ class ClusterNode:
     def _emit(
         self,
         kind: str,
-        *,
         epoch: int,
         uid: int,
         attempt: int,
@@ -217,20 +211,13 @@ class ClusterNode:
         receiver: int,
         **extra: object,
     ) -> None:
-        """Notify the observer with the runtime transport's attribute keys."""
-        if self.observer is None:
-            return
-        attrs: dict = {
-            "time": self.clock.now(),
-            "epoch": epoch,
-            "uid": uid,
-            "attempt": attempt,
-            "edge": edge.value,
-            "sender": sender,
-            "receiver": receiver,
-        }
-        attrs.update(extra)
-        self.observer(kind, attrs)
+        if self.observer is not None:
+            self.observer(
+                kind,
+                transport_event(
+                    self.clock.now(), epoch, uid, attempt, edge, sender, receiver, **extra
+                ),
+            )
 
     async def _handle_data(self, envelope: DataEnvelope, acks: FrameWriter) -> None:
         edge = self._classify(envelope.sender)
@@ -252,15 +239,8 @@ class ClusterNode:
             else:
                 counters.decode_failures += 1
                 disposition_kind = "decode_failure"
-        self._emit(
-            disposition_kind,
-            epoch=envelope.epoch,
-            uid=envelope.uid,
-            attempt=envelope.attempt,
-            edge=edge,
-            sender=envelope.sender,
-            receiver=self.node_id,
-        )
+        hop = (envelope.epoch, envelope.uid, envelope.attempt, edge, envelope.sender, self.node_id)
+        self._emit(disposition_kind, *hop)
         # Transport ACK for every received copy — even duplicates, even
         # undecodable inner frames (the *transport* delivered fine) —
         # unless the seeded schedule swallows it on the way back.
@@ -268,15 +248,7 @@ class ClusterNode:
             envelope.sender, self.node_id, edge, envelope.uid, envelope.attempt
         ):
             counters.acks_dropped += 1
-            self._emit(
-                "ack_lost",
-                epoch=envelope.epoch,
-                uid=envelope.uid,
-                attempt=envelope.attempt,
-                edge=edge,
-                sender=envelope.sender,
-                receiver=self.node_id,
-            )
+            self._emit("ack_lost", *hop)
         else:
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
             await acks.write_frame(ack)
@@ -338,7 +310,8 @@ class ClusterNode:
         """
         if self._uplink_writer is None or self._parent_edge is None or self._parent_id is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
-        counters = self.ledger.edge(self._parent_edge)
+        edge, parent = self._parent_edge, self._parent_id
+        counters = self.ledger.edge(edge)
         event = asyncio.Event()
         self._pending_acks[uid] = event
         try:
@@ -346,29 +319,12 @@ class ClusterNode:
                 counters.attempts += 1
                 if attempt:
                     counters.retransmissions += 1
-                self._emit(
-                    "attempt",
-                    epoch=epoch,
-                    uid=uid,
-                    attempt=attempt,
-                    edge=self._parent_edge,
-                    sender=self.node_id,
-                    receiver=self._parent_id,
-                )
-                verdict = self.injector.data_verdict(
-                    self.node_id, self._parent_id, self._parent_edge, uid, attempt
-                )
+                self._emit("attempt", epoch, uid, attempt, edge, self.node_id, parent)
+                verdict = self.injector.data_verdict(self.node_id, parent, edge, uid, attempt)
                 if verdict.lost:
                     counters.drops_injected += 1
                     self._emit(
-                        "drop",
-                        epoch=epoch,
-                        uid=uid,
-                        attempt=attempt,
-                        edge=self._parent_edge,
-                        sender=self.node_id,
-                        receiver=self._parent_id,
-                        cause="link",
+                        "drop", epoch, uid, attempt, edge, self.node_id, parent, cause="link"
                     )
                 else:
                     frame = encode_data(
@@ -391,15 +347,8 @@ class ClusterNode:
                 except TimeoutError:
                     continue
             counters.gave_up += 1
-            self._emit(
-                "give_up",
-                epoch=epoch,
-                uid=uid,
-                attempt=self.policy.max_attempts - 1,
-                edge=self._parent_edge,
-                sender=self.node_id,
-                receiver=self._parent_id,
-            )
+            last = self.policy.max_attempts - 1
+            self._emit("give_up", epoch, uid, last, edge, self.node_id, parent)
             return False
         finally:
             del self._pending_acks[uid]
@@ -441,19 +390,6 @@ class SourceNode(ClusterNode):
         )
 
 
-class _AggregatorEpoch:
-    """Inbox and deadline state of one in-flight epoch at an aggregator."""
-
-    __slots__ = ("expected", "inbox", "complete", "closed")
-
-    def __init__(self, expected: int) -> None:
-        self.expected = expected
-        self.inbox: list[tuple[PartialStateRecord, frozenset[int]]] = []
-        #: Set when every expected child contribution has arrived.
-        self.complete = asyncio.Event()
-        self.closed = False
-
-
 class AggregatorNode(ClusterNode):
     """Merging phase ``M``: hold-and-wait, then forward PSR + manifest."""
 
@@ -470,19 +406,20 @@ class AggregatorNode(ClusterNode):
         self.role = role
         self.codec = codec
         self.is_root = is_root
-        self._epochs: dict[int, _AggregatorEpoch] = {}
+        #: Open epochs: inbox, and the event set once every child arrived.
+        self._epochs: dict[int, tuple[MergeInbox, asyncio.Event]] = {}
 
     def _deliver(self, envelope: DataEnvelope) -> str:
-        state = self._epochs.get(envelope.epoch)
-        if state is None or state.closed:
-            return _LATE
+        entry = self._epochs.get(envelope.epoch)
+        if entry is None:
+            return _LATE  # never opened here, or already merged and closed
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
             return _DECODE_FAILURE
-        state.inbox.append((psr, envelope.manifest))
-        if len(state.inbox) >= state.expected:
-            state.complete.set()
+        inbox, complete = entry
+        if inbox.offer(psr, envelope.manifest):
+            complete.set()
         return _DELIVERED
 
     def open_epoch(self, epoch: int, expected: int) -> None:
@@ -494,42 +431,25 @@ class AggregatorNode(ClusterNode):
         """
         if epoch in self._epochs:
             raise SimulationError(f"aggregator {self.node_id} already opened epoch {epoch}")
-        self._epochs[epoch] = _AggregatorEpoch(expected)
+        self._epochs[epoch] = (MergeInbox(expected), asyncio.Event())
 
     async def run_epoch(self, epoch: int, hold: float) -> None:
         """Hold until deadline *hold* (or all expected children), merge, forward."""
-        state = self._epochs.get(epoch)
-        if state is None:
+        entry = self._epochs.get(epoch)
+        if entry is None:
             raise SimulationError(
                 f"aggregator {self.node_id} ran epoch {epoch} without opening it"
             )
+        inbox, complete = entry
         try:
-            await self.clock.wait_for(state.complete.wait(), hold)
+            await self.clock.wait_for(complete.wait(), hold)
         except TimeoutError:
             pass  # deadline merge: take whatever arrived
-        state.closed = True
-        if not state.inbox:
-            return  # whole subtree lost this epoch; nothing to forward
-        psrs = [psr for psr, _ in state.inbox]
-        manifest = frozenset().union(*(man for _, man in state.inbox))
-        merged = self.role.merge(epoch, psrs)
-        if self.is_root:
-            merged = self.role.finalize_for_querier(merged)
-        await self._send_psr(self.codec, epoch=epoch, psr=merged, manifest=manifest)
-
-
-class _QuerierEpoch:
-    """One epoch awaiting its final PSR at the querier."""
-
-    __slots__ = ("attempted", "pre_failed", "started_at", "settled", "closed", "result")
-
-    def __init__(self, attempted: frozenset[int], pre_failed: frozenset[int], started_at: float) -> None:
-        self.attempted = attempted
-        self.pre_failed = pre_failed
-        self.started_at = started_at
-        self.settled = asyncio.Event()
-        self.closed = False
-        self.result: ClusterEpochResult | None = None
+        forward = inbox.close(self.role, epoch, is_root=self.is_root)
+        del self._epochs[epoch]  # later copies find no inbox: late
+        if forward is not None:
+            psr, manifest = forward
+            await self._send_psr(self.codec, epoch=epoch, psr=psr, manifest=manifest)
 
 
 class QuerierNode(ClusterNode):
@@ -550,73 +470,46 @@ class QuerierNode(ClusterNode):
         self.codec = codec
         self.num_sources = num_sources
         self.evaluate = evaluate
-        self._epochs: dict[int, _QuerierEpoch] = {}
+        #: Open epochs: settlement, and the event set once it settled.
+        self._epochs: dict[int, tuple[Settlement, asyncio.Event]] = {}
 
     def _deliver(self, envelope: DataEnvelope) -> str:
-        state = self._epochs.get(envelope.epoch)
-        if state is None or state.closed:
+        entry = self._epochs.get(envelope.epoch)
+        if entry is None or entry[0].settled:
             return _LATE
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
             return _DECODE_FAILURE
-        state.closed = True
-        recovery = EpochRecovery.from_final_manifest(
-            envelope.epoch,
-            attempted=state.attempted,
-            manifest=envelope.manifest,
-            pre_failed=state.pre_failed,
+        settlement, settled = entry
+        settlement.settle(
+            psr,
+            envelope.manifest,
+            now=self.clock.now(),
+            querier=self.role if self.evaluate else None,
+            num_sources=self.num_sources,
         )
-        result = ClusterEpochResult(
-            epoch=envelope.epoch,
-            recovery=recovery,
-            completion_latency=self.clock.now() - state.started_at,
-        )
-        if self.evaluate:
-            subset = recovery.reporting_subset(self.num_sources)
-            try:
-                result.result = self.role.evaluate(envelope.epoch, psr, reporting_sources=subset)
-            except SecurityError as exc:
-                result.security_failure = type(exc).__name__
-        state.result = result
-        state.settled.set()
+        settled.set()
         return _DELIVERED
 
-    def open_epoch(
-        self, epoch: int, attempted: frozenset[int], pre_failed: frozenset[int]
-    ) -> None:
+    def open_epoch(self, plan: EpochPlan) -> None:
         """Register the epoch (and stamp its start) before any source sends."""
-        if epoch in self._epochs:
-            raise SimulationError(f"querier already opened epoch {epoch}")
-        self._epochs[epoch] = _QuerierEpoch(attempted, pre_failed, self.clock.now())
+        if plan.epoch in self._epochs:
+            raise SimulationError(f"querier already opened epoch {plan.epoch}")
+        self._epochs[plan.epoch] = (Settlement(plan, self.clock.now()), asyncio.Event())
 
-    async def run_epoch(self, epoch: int, deadline: float) -> ClusterEpochResult:
+    async def run_epoch(self, epoch: int, deadline: float) -> EpochOutcome:
         """Wait up to *deadline* seconds for the final PSR; settle the epoch."""
-        state = self._epochs.get(epoch)
-        if state is None:
+        entry = self._epochs.get(epoch)
+        if entry is None:
             raise SimulationError(f"querier ran epoch {epoch} without opening it")
+        settlement, settled = entry
         try:
-            await self.clock.wait_for(state.settled.wait(), deadline)
+            await self.clock.wait_for(settled.wait(), deadline)
         except TimeoutError:
             pass
-        if state.result is None:
-            # Nothing arrived: the epoch is lost, not wrong.  MessageLost
-            # (the network swallowed every path) stays distinct from
-            # NoResult (no source ever reported).
-            state.closed = True
-            recovery = EpochRecovery(
-                epoch=epoch,
-                attempted=state.attempted,
-                survivors=frozenset(),
-                pre_failed=state.pre_failed,
-                converged=False,
-            )
-            state.result = ClusterEpochResult(
-                epoch=epoch,
-                recovery=recovery,
-                security_failure="MessageLost" if state.attempted else "NoResult",
-            )
-        return state.result
+        del self._epochs[epoch]  # later copies find no settlement: late
+        return settlement.expire()
 
 
 def require_codec(codec: PSRCodec | None, protocol_name: str) -> PSRCodec:

@@ -17,7 +17,8 @@
 
 Epoch deadlines are *relative to the epoch's launch*, so a window-8 run
 has eight independent deadline clocks ticking — the hold-and-wait
-schedule (``hold_time × height``) is per epoch, not global.
+schedule (:class:`~repro.runtime.epochs.EpochSchedule`, shared with the
+event runtime) is per epoch, not global.
 
 Everything protocol-specific comes from the registered facades
 (:func:`repro.protocols.registry.create_protocol`): the orchestrator
@@ -31,16 +32,15 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.network.channel import EdgeClass
-from repro.network.simulator import QUERIER_NODE_ID, Workload
-from repro.network.topology import AggregationTree
+from repro.network.simulator import Workload
+from repro.network.topology import QUERIER_NODE_ID, AggregationTree
 from repro.cluster.clock import ClusterClock
 from repro.cluster.faults import StreamFaultInjector
 from repro.cluster.metrics import ClusterRunMetrics, ClusterTrafficLedger
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode, require_codec
 from repro.protocols.base import SecureAggregationProtocol
+from repro.runtime.epochs import EpochSchedule
 from repro.runtime.faults import FaultPlan
-from repro.runtime.recovery import expected_contributions
 from repro.runtime.transport import RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
 
@@ -140,14 +140,7 @@ class EpochOrchestrator:
                 protocol.create_aggregator(),
                 self.codec,
                 is_root=(aid == tree.root_id),
-                edge_of_sender={
-                    child: (
-                        EdgeClass.SOURCE_TO_AGGREGATOR
-                        if tree.node(child).is_source
-                        else EdgeClass.AGGREGATOR_TO_AGGREGATOR
-                    )
-                    for child in tree.children(aid)
-                },
+                edge_of_sender={child: tree.edge_class(child, aid) for child in tree.children(aid)},
                 **common,
             )
             for aid in tree.aggregator_ids
@@ -158,17 +151,13 @@ class EpochOrchestrator:
             self.codec,
             num_sources=tree.num_sources,
             evaluate=self.config.evaluate,
-            edge_of_sender={tree.root_id: EdgeClass.AGGREGATOR_TO_QUERIER},
+            edge_of_sender={tree.root_id: tree.edge_class(tree.root_id, QUERIER_NODE_ID)},
             **common,
         )
-        self._heights = self._node_heights()
+        self.schedule = EpochSchedule(
+            tree, hold_time=self.config.hold_time, querier_slack=self.config.querier_slack
+        )
         self._ran = False
-
-    def _node_heights(self) -> dict[int, int]:
-        heights: dict[int, int] = {sid: 0 for sid in self.tree.source_ids}
-        for aid in self.tree.bottom_up_aggregators():
-            heights[aid] = 1 + max(heights[c] for c in self.tree.children(aid))
-        return heights
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -180,23 +169,12 @@ class EpochOrchestrator:
     async def _bind_and_connect(self) -> None:
         for node in self._all_nodes():
             await node.start()
-        for sid, source in self.sources.items():
-            parent = self.tree.parent(sid)
-            if parent is None:
-                raise SimulationError(f"source {sid} has no parent aggregator")
-            await source.connect_uplink(
-                parent, self.aggregators[parent].port, EdgeClass.SOURCE_TO_AGGREGATOR
+        for node in [*self.sources.values(), *self.aggregators.values()]:
+            parent = self.tree.parent(node.node_id)
+            server = self.querier if parent is None else self.aggregators[parent]
+            await node.connect_uplink(
+                server.node_id, server.port, self.tree.edge_class(node.node_id, server.node_id)
             )
-        for aid, aggregator in self.aggregators.items():
-            parent = self.tree.parent(aid)
-            if parent is None:
-                await aggregator.connect_uplink(
-                    QUERIER_NODE_ID, self.querier.port, EdgeClass.AGGREGATOR_TO_QUERIER
-                )
-            else:
-                await aggregator.connect_uplink(
-                    parent, self.aggregators[parent].port, EdgeClass.AGGREGATOR_TO_AGGREGATOR
-                )
 
     async def _shutdown(self) -> None:
         # Bottom-up: leaves half-close first, so each parent sees EOF only
@@ -215,29 +193,23 @@ class EpochOrchestrator:
 
     async def _run_epoch(self, epoch: int, window: asyncio.Semaphore):
         async with window:
-            attempted = frozenset(
-                sid for sid in self.tree.source_ids if sid not in self.config.failed_sources
-            )
-            pre_failed = frozenset(self.tree.source_ids) - attempted
-            expected = expected_contributions(self.tree, attempted)
-            self.querier.open_epoch(epoch, attempted, pre_failed)
-            live = [aid for aid in self.tree.aggregator_ids if expected[aid] > 0]
+            plan = self.schedule.open(epoch, self.config.failed_sources.__contains__)
+            self.querier.open_epoch(plan)
+            live = [aid for aid in self.tree.aggregator_ids if plan.expected[aid] > 0]
             for aid in live:
-                self.aggregators[aid].open_epoch(epoch, expected[aid])
-            deadline = (
-                self.config.hold_time * (self._heights[self.tree.root_id] + 1)
-                + self.config.querier_slack
+                self.aggregators[aid].open_epoch(epoch, plan.expected[aid])
+            outcome, *_ = await asyncio.gather(
+                self.querier.run_epoch(epoch, self.schedule.querier_deadline()),
+                *(
+                    self.aggregators[aid].run_epoch(epoch, self.schedule.merge_deadline(aid))
+                    for aid in live
+                ),
+                *(
+                    self.sources[sid].run_epoch(epoch, self.workload(sid, epoch))
+                    for sid in sorted(plan.attempted)
+                ),
             )
-            querier_task = asyncio.ensure_future(self.querier.run_epoch(epoch, deadline))
-            others = [
-                self.aggregators[aid].run_epoch(epoch, self.config.hold_time * self._heights[aid])
-                for aid in live
-            ] + [
-                self.sources[sid].run_epoch(epoch, self.workload(sid, epoch))
-                for sid in sorted(attempted)
-            ]
-            await asyncio.gather(querier_task, *others)
-            return querier_task.result()
+            return outcome
 
     async def run(self) -> ClusterRunMetrics:
         """Execute the configured epochs over real sockets.
@@ -270,9 +242,7 @@ class EpochOrchestrator:
         finally:
             metrics.wall_seconds = self.clock.now() - started
             await self._shutdown()
-        metrics.epochs = sorted(results, key=lambda r: r.epoch)
-        for result in metrics.epochs:
-            metrics.recovery.record(result.recovery)
+        metrics.record(results)
         metrics.traffic = self.ledger
         self.ledger.check_conservation()
         return metrics

@@ -28,7 +28,7 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.energy import EnergyLedger, EnergyModel
 from repro.network.messages import DataMessage
 from repro.network.metrics import EpochMetrics, RunMetrics
-from repro.network.topology import AggregationTree
+from repro.network.topology import QUERIER_NODE_ID, AggregationTree
 from repro.protocols.base import (
     EvaluationResult,
     OpCounter,
@@ -39,9 +39,6 @@ from repro.protocols.base import (
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SimulationConfig", "NetworkSimulator", "QUERIER_NODE_ID", "naive_collection_traffic"]
-
-#: Sentinel node id for the querier (it is not part of the sensor tree).
-QUERIER_NODE_ID = -1
 
 #: A workload maps (source_id, epoch) to the source's integer reading.
 Workload = Callable[[int, int], int]
@@ -429,24 +426,17 @@ class NetworkSimulator:
     # Delivery helpers
     # ------------------------------------------------------------------
 
-    def _edge_class(self, message: DataMessage) -> EdgeClass:
-        if message.receiver == QUERIER_NODE_ID:
-            return EdgeClass.AGGREGATOR_TO_QUERIER
-        if self.tree.node(message.sender).is_source:
-            return EdgeClass.SOURCE_TO_AGGREGATOR
-        return EdgeClass.AGGREGATOR_TO_AGGREGATOR
-
     def _deliver(
         self, message: DataMessage, inboxes: dict[int, list[PartialStateRecord]]
     ) -> None:
-        edge = self._edge_class(message)
+        edge = self.tree.edge_class(message.sender, message.receiver)
         self._account_energy(message, edge)
         delivered = self.channel.transmit(message, edge)
         if delivered is not None:
             inboxes.setdefault(delivered.receiver, []).append(delivered.psr)
 
     def _deliver_to_querier(self, message: DataMessage) -> PartialStateRecord | None:
-        edge = self._edge_class(message)
+        edge = self.tree.edge_class(message.sender, message.receiver)
         self._account_energy(message, edge)
         delivered = self.channel.transmit(message, edge)
         return delivered.psr if delivered is not None else None

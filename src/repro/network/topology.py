@@ -18,16 +18,21 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
+from repro.network.channel import EdgeClass
 from repro.utils.rng import DeterministicRandom
 from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "QUERIER_NODE_ID",
     "TreeNode",
     "AggregationTree",
     "build_complete_tree",
     "build_random_tree",
     "build_chain_tree",
 ]
+
+#: Sentinel node id for the querier (it is not part of the sensor tree).
+QUERIER_NODE_ID = -1
 
 
 @dataclass
@@ -98,6 +103,14 @@ class AggregationTree:
 
     def parent(self, node_id: int) -> int | None:
         return self.node(node_id).parent_id
+
+    def edge_class(self, sender: int, receiver: int) -> EdgeClass:
+        """The edge class of the hop *sender* → *receiver*."""
+        if receiver == QUERIER_NODE_ID:
+            return EdgeClass.AGGREGATOR_TO_QUERIER
+        if self._nodes[sender].is_source:
+            return EdgeClass.SOURCE_TO_AGGREGATOR
+        return EdgeClass.AGGREGATOR_TO_AGGREGATOR
 
     def fanout(self, node_id: int) -> int:
         return len(self.node(node_id).children)

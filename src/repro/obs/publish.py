@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from repro.cluster.metrics import ClusterRunMetrics
     from repro.network.metrics import RunMetrics
     from repro.protocols.base import OpCounter
-    from repro.runtime.metrics import RuntimeRunMetrics
+    from repro.runtime.metrics import EpochLedger, RuntimeRunMetrics
 
 __all__ = [
     "publish_traffic",
@@ -59,22 +59,28 @@ __all__ = [
 _EDGE_LABELS = ("substrate", "edge")
 
 
+def _traffic_counters(registry: MetricsRegistry) -> tuple:
+    """The four per-edge traffic counters, in (payload bytes, messages,
+    frame bytes, decode failures) order."""
+    return (
+        registry.counter(
+            "sies_traffic_bytes_total", "Analytic payload bytes per edge class", _EDGE_LABELS
+        ),
+        registry.counter("sies_traffic_messages_total", "Messages per edge class", _EDGE_LABELS),
+        registry.counter(
+            "sies_frame_bytes_total", "Measured wire-frame bytes per edge class", _EDGE_LABELS
+        ),
+        registry.counter(
+            "sies_decode_failures_total", "Frames discarded as unparseable", _EDGE_LABELS
+        ),
+    )
+
+
 def publish_traffic(
     counters: TrafficCounters, registry: MetricsRegistry, *, substrate: str
 ) -> None:
     """Channel-layer byte/message accounting (all substrates share it)."""
-    traffic_bytes = registry.counter(
-        "sies_traffic_bytes_total", "Analytic payload bytes per edge class", _EDGE_LABELS
-    )
-    messages = registry.counter(
-        "sies_traffic_messages_total", "Messages per edge class", _EDGE_LABELS
-    )
-    frame_bytes = registry.counter(
-        "sies_frame_bytes_total", "Measured wire-frame bytes per edge class", _EDGE_LABELS
-    )
-    decode_failures = registry.counter(
-        "sies_decode_failures_total", "Frames discarded as unparseable", _EDGE_LABELS
-    )
+    traffic_bytes, messages, frame_bytes, decode_failures = _traffic_counters(registry)
     for edge, count in sorted(counters.bytes_by_class.items(), key=lambda kv: kv[0].value):
         traffic_bytes.inc(count, substrate=substrate, edge=edge.value)
     for edge, count in sorted(counters.messages_by_class.items(), key=lambda kv: kv[0].value):
@@ -141,6 +147,22 @@ def _publish_epoch_outcomes(
     )
     for sample in latencies:
         latency.observe(sample, substrate=substrate)
+
+
+def _publish_ledger_outcomes(
+    metrics: "EpochLedger", registry: MetricsRegistry, *, substrate: str
+) -> None:
+    """The epoch-outcome half shared by the runtime and cluster publishers."""
+    _publish_epoch_outcomes(
+        registry,
+        substrate=substrate,
+        total=metrics.num_epochs,
+        accepted=sum(1 for e in metrics.epochs if e.accepted),
+        unrecovered=sum(1 for e in metrics.epochs if not e.recovery.converged),
+        delivery_rate=metrics.delivery_rate(),
+        acceptance_rate=metrics.acceptance_rate(),
+        latencies=metrics.completion_latencies(),
+    )
 
 
 def publish_network_metrics(metrics: "RunMetrics", registry: MetricsRegistry) -> None:
@@ -224,18 +246,7 @@ def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegis
     late_total = sum(e.late_arrivals for e in metrics.epochs)
     if late_total:
         late.inc(late_total, substrate=substrate, edge="all")
-    accepted = sum(1 for e in metrics.epochs if e.accepted)
-    unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
-    _publish_epoch_outcomes(
-        registry,
-        substrate=substrate,
-        total=metrics.num_epochs,
-        accepted=accepted,
-        unrecovered=unrecovered,
-        delivery_rate=metrics.delivery_rate(),
-        acceptance_rate=metrics.acceptance_rate(),
-        latencies=metrics.completion_latencies(),
-    )
+    _publish_ledger_outcomes(metrics, registry, substrate=substrate)
 
 
 def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegistry) -> None:
@@ -243,18 +254,7 @@ def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegis
     substrate = "cluster"
     ledger = metrics.traffic
     by_edge = sorted(ledger.by_class.items(), key=lambda kv: kv[0].value)
-    traffic_bytes = registry.counter(
-        "sies_traffic_bytes_total", "Analytic payload bytes per edge class", _EDGE_LABELS
-    )
-    messages = registry.counter(
-        "sies_traffic_messages_total", "Messages per edge class", _EDGE_LABELS
-    )
-    frame_bytes = registry.counter(
-        "sies_frame_bytes_total", "Measured wire-frame bytes per edge class", _EDGE_LABELS
-    )
-    decode_failures = registry.counter(
-        "sies_decode_failures_total", "Frames discarded as unparseable", _EDGE_LABELS
-    )
+    traffic_bytes, messages, frame_bytes, decode_failures = _traffic_counters(registry)
     for edge, c in by_edge:
         if c.psr_bytes:
             traffic_bytes.inc(c.psr_bytes, substrate=substrate, edge=edge.value)
@@ -278,15 +278,4 @@ def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegis
             "sies_transport_acks_lost_total": {e: c.acks_dropped for e, c in by_edge},
         },
     )
-    accepted = sum(1 for e in metrics.epochs if e.accepted)
-    unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
-    _publish_epoch_outcomes(
-        registry,
-        substrate=substrate,
-        total=metrics.num_epochs,
-        accepted=accepted,
-        unrecovered=unrecovered,
-        delivery_rate=metrics.delivery_rate(),
-        acceptance_rate=metrics.acceptance_rate(),
-        latencies=[e.completion_latency for e in metrics.epochs if e.recovery.converged],
-    )
+    _publish_ledger_outcomes(metrics, registry, substrate=substrate)

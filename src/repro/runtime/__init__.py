@@ -5,7 +5,8 @@ chain, this package drives them through a deterministic event scheduler
 over faulty links: seeded per-edge loss/latency/duplication, burst
 outages and node churn (:mod:`repro.runtime.faults`), a per-hop
 ACK/retransmission layer with exponential backoff
-(:mod:`repro.runtime.transport`), aggregator merge deadlines, and a
+(:mod:`repro.runtime.transport`), the clock-free hold-and-wait epoch
+rules it shares with the TCP cluster (:mod:`repro.runtime.epochs`), and a
 recovery path that converts undelivered subtrees into the paper's
 reported-failure subset so the querier answers the exact SUM over the
 survivors (:mod:`repro.runtime.recovery`).
@@ -34,7 +35,8 @@ from repro.runtime.faults import (
     LinkVerdict,
     NodeOutage,
 )
-from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
+from repro.runtime.epochs import EpochOutcome, EpochSchedule, MergeInbox, Settlement
+from repro.runtime.metrics import EpochLedger, RuntimeRunMetrics
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
 from repro.runtime.transport import (
@@ -59,7 +61,11 @@ __all__ = [
     "ReliableTransport",
     "EpochRecovery",
     "RecoveryLedger",
-    "RuntimeEpochMetrics",
+    "EpochOutcome",
+    "EpochSchedule",
+    "MergeInbox",
+    "Settlement",
+    "EpochLedger",
     "RuntimeRunMetrics",
     "RuntimeConfig",
     "RuntimeSimulator",

@@ -13,6 +13,12 @@ verdict, so a changed loss outcome on one attempt never perturbs the
 latency of the next.  Two runs with the same plan and seed therefore
 produce identical fault sequences — the property the acceptance tests
 assert by comparing whole metrics ledgers.
+
+:class:`FaultInjector` and the order-independent
+:class:`KeyedFaultInjector` answer the same two questions per ARQ
+attempt — ``data_delays`` (arrival delay of each surviving copy, none
+when the attempt is lost) and ``ack_delay`` (the ACK's return delay,
+``None`` when it is lost) — so the transport drives either unchanged.
 """
 
 from __future__ import annotations
@@ -202,6 +208,19 @@ class FaultInjector:
             latencies.append(profile.latency + u_dup_latency * profile.jitter)
         return LinkVerdict(lost=False, latencies=tuple(latencies))
 
+    def data_delays(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, now: float
+    ) -> tuple[float, ...]:
+        """Arrival delays of a data attempt's surviving copies (none when lost)."""
+        return self.attempt(sender, receiver, edge, now).latencies
+
+    def ack_delay(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, now: float
+    ) -> float | None:
+        """Return delay of that attempt's ACK (receiver → sender), None when lost."""
+        verdict = self.attempt(receiver, sender, edge, now)
+        return None if verdict.lost else verdict.latencies[0]
+
 
 @dataclass(frozen=True)
 class KeyedVerdict:
@@ -252,6 +271,10 @@ class KeyedFaultInjector:
         self.seed = seed
         #: Verdicts issued per edge class (diagnostics).
         self.verdicts_by_class: dict[EdgeClass, int] = {}
+
+    def node_down(self, node_id: int, now: float) -> bool:
+        """Always False: keyed plans reject outages."""
+        return False
 
     def _draw(
         self, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
@@ -306,3 +329,20 @@ class KeyedFaultInjector:
         profile = self.plan.profile_for(edge)
         (u,) = self._draw("acklat", sender, receiver, uid, attempt, 1)
         return profile.latency + u * profile.jitter
+
+    def data_delays(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, now: float
+    ) -> tuple[float, ...]:
+        """Arrival delays of a data attempt's surviving copies (none when lost)."""
+        verdict = self.data_verdict(sender, receiver, edge, uid, attempt)
+        if verdict.lost:
+            return ()
+        return self.data_latencies(sender, receiver, edge, uid, attempt, verdict.copies)
+
+    def ack_delay(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, now: float
+    ) -> float | None:
+        """Return delay of that attempt's ACK, None when lost."""
+        if self.ack_verdict(sender, receiver, edge, uid, attempt):
+            return None
+        return self.ack_latency(sender, receiver, edge, uid, attempt)

@@ -1,27 +1,35 @@
-"""Measurement containers for the fault-injecting runtime.
+"""Run ledgers for the lossy substrates.
 
-Unlike :class:`~repro.network.metrics.RunMetrics`, nothing here carries
-wall-clock seconds: every field is a function of the seed and the
-configuration, so two runs with identical inputs produce identical
-:meth:`RuntimeRunMetrics.ledger` dicts — the determinism contract the
-acceptance tests compare byte for byte.
+:class:`EpochLedger` is what every lossy run records, whichever
+substrate produced it: the settled :class:`~repro.runtime.epochs.EpochOutcome`
+of each epoch, the recovery tallies, and the rates and latency summary
+derived from them.  :class:`RuntimeRunMetrics` (event runtime) and
+:class:`~repro.cluster.metrics.ClusterRunMetrics` (TCP cluster) extend
+it with their own transport and traffic accounting.
 
-Latency fields are *logical* (scheduler time units): epoch completion
-latency is the span from the epoch's start event to the querier's
-evaluation of its final PSR.
+Unlike :class:`~repro.network.metrics.RunMetrics`, nothing in
+:class:`RuntimeRunMetrics` carries wall-clock seconds: every field is a
+function of the seed and the configuration, so two runs with identical
+inputs produce identical :meth:`RuntimeRunMetrics.ledger` dicts — the
+determinism contract the acceptance tests compare byte for byte.
+Runtime latencies are *logical* (scheduler time units): epoch
+completion latency is the span from the epoch's start event to the
+querier's evaluation of its final PSR.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.network.channel import TrafficCounters
+from repro.network.channel import EdgeClass, TrafficCounters
 from repro.protocols.base import EvaluationResult, OpCounter
-from repro.runtime.recovery import EpochRecovery, RecoveryLedger
+from repro.runtime.epochs import EpochOutcome
+from repro.runtime.recovery import RecoveryLedger
 from repro.runtime.transport import TransportStats
 
-__all__ = ["RuntimeEpochMetrics", "RuntimeRunMetrics", "latency_percentile"]
+__all__ = ["EpochLedger", "RuntimeRunMetrics", "latency_percentile"]
 
 
 def latency_percentile(samples: list[float], fraction: float) -> float:
@@ -39,49 +47,29 @@ def latency_percentile(samples: list[float], fraction: float) -> float:
     return ordered[rank]
 
 
-@dataclass
-class RuntimeEpochMetrics:
-    """One epoch through the event runtime."""
-
-    epoch: int
-    recovery: EpochRecovery
-    result: EvaluationResult | None = None
-    #: Security exception class name raised by the querier, if any;
-    #: ``"MessageLost"`` when no final PSR survived the network.
-    security_failure: str | None = None
-    #: Logical time from epoch start to evaluation (0 if unrecovered).
-    completion_latency: float = 0.0
-    #: Copies of this epoch's traffic that arrived after a deadline.
-    late_arrivals: int = 0
-
-    @property
-    def accepted(self) -> bool:
-        return self.result is not None and self.security_failure is None
+def _by_edge(counts: dict[EdgeClass, int]) -> dict[str, int]:
+    return {edge.value: counts[edge] for edge in sorted(counts, key=lambda e: e.value)}
 
 
 @dataclass
-class RuntimeRunMetrics:
-    """Everything one runtime run measured (fully deterministic)."""
+class EpochLedger:
+    """The settled epochs of one run, and what follows from them."""
 
     protocol: str
     num_sources: int
     seed: int
-    epochs: list[RuntimeEpochMetrics] = field(default_factory=list)
-    transport: TransportStats = field(default_factory=TransportStats)
+    epochs: list[EpochOutcome] = field(default_factory=list)
     recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
-    traffic: TrafficCounters = field(default_factory=TrafficCounters)
-    source_ops: OpCounter = field(default_factory=OpCounter)
-    aggregator_ops: OpCounter = field(default_factory=OpCounter)
-    querier_ops: OpCounter = field(default_factory=OpCounter)
-    events_processed: int = 0
 
     @property
     def num_epochs(self) -> int:
         return len(self.epochs)
 
-    # ------------------------------------------------------------------
-    # Headline rates
-    # ------------------------------------------------------------------
+    def record(self, outcomes: Iterable[EpochOutcome]) -> None:
+        """Keep *outcomes* in epoch order and tally their recovery."""
+        self.epochs = sorted(outcomes, key=lambda outcome: outcome.epoch)
+        for outcome in self.epochs:
+            self.recovery.record(outcome.recovery)
 
     def delivery_rate(self) -> float:
         """Fraction of attempted source contributions that survived."""
@@ -98,18 +86,48 @@ class RuntimeRunMetrics:
     def completion_latencies(self) -> list[float]:
         return [e.completion_latency for e in self.epochs if e.recovery.converged]
 
-    def retransmissions_total(self) -> int:
-        return sum(self.transport.retransmissions.values())
-
     def security_failures(self) -> list[tuple[int, str]]:
         return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]
 
     def results(self) -> list[EvaluationResult]:
         return [e.result for e in self.epochs if e.result is not None]
 
-    # ------------------------------------------------------------------
-    # The determinism contract
-    # ------------------------------------------------------------------
+    def latency_summary(self) -> dict[str, float]:
+        latencies = self.completion_latencies()
+        return {
+            "p50": latency_percentile(latencies, 0.50),
+            "p90": latency_percentile(latencies, 0.90),
+            "p99": latency_percentile(latencies, 0.99),
+            "max": max(latencies) if latencies else 0.0,
+        }
+
+    @staticmethod
+    def epoch_row(e: EpochOutcome) -> dict:
+        """The seed-determined per-epoch record both substrates report."""
+        return {
+            "epoch": e.epoch,
+            "value": str(e.result.value) if e.result else None,
+            "verified": e.result.verified if e.result else None,
+            "security_failure": e.security_failure,
+            "survivors": sorted(e.recovery.survivors),
+            "lost": sorted(e.recovery.lost),
+            "converged": e.recovery.converged,
+        }
+
+
+@dataclass
+class RuntimeRunMetrics(EpochLedger):
+    """Everything one runtime run measured (fully deterministic)."""
+
+    transport: TransportStats = field(default_factory=TransportStats)
+    traffic: TrafficCounters = field(default_factory=TrafficCounters)
+    source_ops: OpCounter = field(default_factory=OpCounter)
+    aggregator_ops: OpCounter = field(default_factory=OpCounter)
+    querier_ops: OpCounter = field(default_factory=OpCounter)
+    events_processed: int = 0
+
+    def retransmissions_total(self) -> int:
+        return sum(self.transport.retransmissions.values())
 
     def ledger(self) -> dict:
         """Canonical, JSON-serializable record of the whole run.
@@ -118,7 +136,6 @@ class RuntimeRunMetrics:
         object ids — so two runs with the same configuration and seed
         must produce equal ledgers (asserted by the acceptance tests).
         """
-        latencies = self.completion_latencies()
         return {
             "protocol": self.protocol,
             "num_sources": self.num_sources,
@@ -129,38 +146,17 @@ class RuntimeRunMetrics:
             "events_processed": self.events_processed,
             "transport": self.transport.as_dict(),
             "recovery": self.recovery.as_dict(),
-            "traffic_bytes": {
-                edge.value: count
-                for edge, count in sorted(
-                    self.traffic.bytes_by_class.items(), key=lambda item: item[0].value
-                )
-            },
-            "traffic_messages": {
-                edge.value: count
-                for edge, count in sorted(
-                    self.traffic.messages_by_class.items(), key=lambda item: item[0].value
-                )
-            },
+            "traffic_bytes": _by_edge(self.traffic.bytes_by_class),
+            "traffic_messages": _by_edge(self.traffic.messages_by_class),
             "ops": {
                 "source": dict(sorted(self.source_ops.counts.items())),
                 "aggregator": dict(sorted(self.aggregator_ops.counts.items())),
                 "querier": dict(sorted(self.querier_ops.counts.items())),
             },
-            "latency": {
-                "p50": latency_percentile(latencies, 0.50),
-                "p90": latency_percentile(latencies, 0.90),
-                "p99": latency_percentile(latencies, 0.99),
-                "max": max(latencies) if latencies else 0.0,
-            },
+            "latency": self.latency_summary(),
             "epochs": [
                 {
-                    "epoch": e.epoch,
-                    "value": str(e.result.value) if e.result else None,
-                    "verified": e.result.verified if e.result else None,
-                    "security_failure": e.security_failure,
-                    "survivors": sorted(e.recovery.survivors),
-                    "lost": sorted(e.recovery.lost),
-                    "converged": e.recovery.converged,
+                    **self.epoch_row(e),
                     "completion_latency": e.completion_latency,
                     "late_arrivals": e.late_arrivals,
                 }

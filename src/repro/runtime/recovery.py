@@ -22,33 +22,10 @@ converged-or-not verdict the property tests assert on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 
-if TYPE_CHECKING:
-    from repro.network.topology import AggregationTree
-
-__all__ = ["EpochRecovery", "RecoveryLedger", "expected_contributions"]
-
-
-def expected_contributions(tree: "AggregationTree", attempted: frozenset[int]) -> dict[int, int]:
-    """Per-aggregator count of child contributions that could arrive.
-
-    A child source counts iff it attempted to report; a child aggregator
-    counts iff any attempted source sits in its subtree.  Both runtimes
-    (:class:`~repro.runtime.simulator.RuntimeSimulator` and the TCP
-    cluster) use this for the early-merge fast path: an aggregator
-    merges the moment everything that *can* arrive has arrived, so
-    deadlines only matter when the network actually loses something.
-    """
-    expected: dict[int, int] = {}
-    live_subtree: dict[int, bool] = {sid: sid in attempted for sid in tree.source_ids}
-    for aid in tree.bottom_up_aggregators():
-        count = sum(1 for child in tree.children(aid) if live_subtree[child])
-        expected[aid] = count
-        live_subtree[aid] = count > 0
-    return expected
+__all__ = ["EpochRecovery", "RecoveryLedger"]
 
 
 @dataclass(frozen=True)

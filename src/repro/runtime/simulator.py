@@ -7,16 +7,14 @@ the sources, bottom-up merging, evaluation at the querier — but over a
 
 * every hop goes through the per-hop ARQ of
   :mod:`repro.runtime.transport` (ACKs, timeouts, bounded
-  retransmission with exponential backoff) and the seeded
-  :class:`~repro.runtime.faults.FaultInjector`;
-* aggregators **hold-and-wait**: each epoch they merge whatever
-  children delivered by their deadline (``hold_time ×`` node height) —
-  or immediately once every expected child arrived — and forward the
-  merged PSR together with the manifest of contributing source ids;
-* the querier converts an incomplete manifest into the paper's
-  reported-failure subset (Section IV-B) and evaluates the exact SUM
-  over the survivors — graceful degradation instead of a spurious
-  :class:`~repro.errors.IntegrityError`.
+  retransmission with exponential backoff) and the seeded fault
+  injector (:mod:`repro.runtime.faults`);
+* aggregators **hold-and-wait** and the querier settles each epoch
+  over the paper's reported-failure subset (Section IV-B) — graceful
+  degradation instead of a spurious
+  :class:`~repro.errors.IntegrityError`.  Those rules live in
+  :mod:`repro.runtime.epochs`, shared with the TCP cluster; this
+  module only feeds them scheduler events.
 
 The runtime reuses the existing role objects and
 :class:`~repro.network.channel.Channel` unchanged, so every adversary
@@ -28,27 +26,24 @@ radio.  All scheduling is logical-clock based and seeded; see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import SecurityError, SimulationError
-from repro.network.channel import Channel, EdgeClass
+from repro.errors import SimulationError
+from repro.network.channel import Channel
 from repro.network.messages import DataMessage
-from repro.network.simulator import QUERIER_NODE_ID, Workload
-from repro.network.topology import AggregationTree
-from repro.protocols.base import (
-    OpCounter,
-    PartialStateRecord,
-    SecureAggregationProtocol,
-)
+from repro.network.simulator import Workload
+from repro.network.topology import QUERIER_NODE_ID, AggregationTree
+from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
+from repro.runtime.epochs import EpochOutcome, EpochSchedule, MergeInbox, Settlement
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultInjector, FaultPlan, KeyedFaultInjector
-from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
-from repro.runtime.recovery import EpochRecovery, expected_contributions
+from repro.runtime.metrics import RuntimeRunMetrics
 from repro.runtime.transport import (
     ReliableTransport,
     RetransmitPolicy,
     TransportObserver,
-    TransportStats,
+    transport_event,
 )
 from repro.utils.validation import check_positive_int
 
@@ -96,42 +91,6 @@ class RuntimeConfig:
             )
 
 
-class _EpochState:
-    """Mutable per-epoch bookkeeping while the epoch is in flight."""
-
-    __slots__ = (
-        "epoch",
-        "start_time",
-        "attempted",
-        "pre_failed",
-        "inboxes",
-        "merged",
-        "expected",
-        "finalized",
-        "late_arrivals",
-    )
-
-    def __init__(
-        self,
-        epoch: int,
-        start_time: float,
-        attempted: frozenset[int],
-        pre_failed: frozenset[int],
-        expected: dict[int, int],
-    ) -> None:
-        self.epoch = epoch
-        self.start_time = start_time
-        self.attempted = attempted
-        self.pre_failed = pre_failed
-        #: aggregator id -> [(psr, manifest), ...] in arrival order.
-        self.inboxes: dict[int, list[tuple[PartialStateRecord, frozenset[int]]]] = {}
-        self.merged: set[int] = set()
-        #: aggregator id -> number of child contributions that may arrive.
-        self.expected = expected
-        self.finalized = False
-        self.late_arrivals = 0
-
-
 class RuntimeSimulator:
     """Runs a protocol over a lossy, latency-bearing, retransmitting network."""
 
@@ -155,20 +114,17 @@ class RuntimeSimulator:
         # (encoded once per parcel, retransmitted byte-identically).
         self.channel = Channel(codec=protocol.wire_codec())
         self.scheduler = EventScheduler()
-        self.injector = FaultInjector(self.config.plan, seed=self.config.seed)
-        self.keyed_injector = (
-            KeyedFaultInjector(self.config.plan, seed=self.config.seed)
-            if self.config.keyed_faults
-            else None
-        )
+        injector = KeyedFaultInjector if self.config.keyed_faults else FaultInjector
+        self.injector = injector(self.config.plan, seed=self.config.seed)
         self.transport = ReliableTransport(
             self.scheduler,
             self.injector,
             self.channel,
             self.config.policy,
             seed=self.config.seed,
-            stats=TransportStats(),
-            keyed=self.keyed_injector,
+        )
+        self.schedule = EpochSchedule(
+            tree, hold_time=self.config.hold_time, querier_slack=self.config.querier_slack
         )
 
         self.source_ops = OpCounter()
@@ -182,26 +138,13 @@ class RuntimeSimulator:
             for aid in tree.aggregator_ids
         }
         self._querier = protocol.create_querier(ops=self.querier_ops)
-        self._heights = self._node_heights()
-        self._merge_schedule = tree.bottom_up_aggregators()
-        self._states: dict[int, _EpochState] = {}
-        self._metrics: RuntimeRunMetrics | None = None
+        # In-flight epochs only: both maps drop an epoch at its querier
+        # deadline, after which every copy for it is late.
+        self._inboxes: dict[int, dict[int, MergeInbox]] = {}
+        self._settlements: dict[int, Settlement] = {}
+        self._outcomes: list[EpochOutcome] = []
+        self._late: Counter[int] = Counter()
         self._ran = False
-
-    # ------------------------------------------------------------------
-    # Topology precomputation
-    # ------------------------------------------------------------------
-
-    def _node_heights(self) -> dict[int, int]:
-        """Height of every node (sources 0, aggregators 1 + max child)."""
-        heights: dict[int, int] = {sid: 0 for sid in self.tree.source_ids}
-        for aid in self.tree.bottom_up_aggregators():
-            heights[aid] = 1 + max(heights[c] for c in self.tree.children(aid))
-        return heights
-
-    def _expected_contributions(self, attempted: frozenset[int]) -> dict[int, int]:
-        """Per-aggregator early-merge counts (shared with the TCP cluster)."""
-        return expected_contributions(self.tree, attempted)
 
     # ------------------------------------------------------------------
     # Observability
@@ -213,33 +156,10 @@ class RuntimeSimulator:
         The hook receives every transport event (``attempt``, ``drop``,
         ``deliver``, ``duplicate``, ``ack_lost``, ``give_up``) plus the
         simulator-level ``late`` events for copies that arrived after
-        their receiver's merge deadline.  :mod:`repro.obs` builds the
+        their receiver closed the epoch.  :mod:`repro.obs` builds the
         unified trace from exactly this stream.
         """
         self.transport.observer = observer
-
-    def _edge_of(self, sender: int, receiver: int) -> EdgeClass:
-        if receiver == QUERIER_NODE_ID:
-            return EdgeClass.AGGREGATOR_TO_QUERIER
-        if sender in self._sources:
-            return EdgeClass.SOURCE_TO_AGGREGATOR
-        return EdgeClass.AGGREGATOR_TO_AGGREGATOR
-
-    def _notify_late(self, epoch: int, message: DataMessage) -> None:
-        observer = self.transport.observer
-        if observer is not None:
-            observer(
-                "late",
-                {
-                    "time": self.scheduler.now,
-                    "epoch": epoch,
-                    "uid": None,
-                    "attempt": None,
-                    "edge": self._edge_of(message.sender, message.receiver).value,
-                    "sender": message.sender,
-                    "receiver": message.receiver,
-                },
-            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -261,11 +181,6 @@ class RuntimeSimulator:
         epochs = num_epochs if num_epochs is not None else self.config.num_epochs
         check_positive_int("num_epochs", epochs)
 
-        self._metrics = RuntimeRunMetrics(
-            protocol=self.protocol.name,
-            num_sources=self.tree.num_sources,
-            seed=self.config.seed,
-        )
         for offset in range(epochs):
             epoch = self.config.start_epoch + offset
             self.scheduler.call_at(
@@ -274,181 +189,111 @@ class RuntimeSimulator:
             )
         self.scheduler.run()
 
-        metrics = self._metrics
-        metrics.epochs.sort(key=lambda em: em.epoch)
-        for em in metrics.epochs:
+        for outcome in self._outcomes:
             # Stragglers can arrive (and be classified late) after an
-            # epoch finalized; fold in the final tally.
-            em.late_arrivals = self._states[em.epoch].late_arrivals
-        metrics.transport = self.transport.stats
-        metrics.traffic = self.channel.counters
-        metrics.source_ops = self.source_ops
-        metrics.aggregator_ops = self.aggregator_ops
-        metrics.querier_ops = self.querier_ops
-        metrics.events_processed = self.scheduler.events_processed
-        for em in metrics.epochs:
-            metrics.recovery.record(em.recovery)
+            # epoch settled; fold in the final tally.
+            outcome.late_arrivals = self._late[outcome.epoch]
+        metrics = RuntimeRunMetrics(
+            protocol=self.protocol.name,
+            num_sources=self.tree.num_sources,
+            seed=self.config.seed,
+            transport=self.transport.stats,
+            traffic=self.channel.counters,
+            source_ops=self.source_ops,
+            aggregator_ops=self.aggregator_ops,
+            querier_ops=self.querier_ops,
+            events_processed=self.scheduler.events_processed,
+        )
+        metrics.record(self._outcomes)
         return metrics
 
     # ------------------------------------------------------------------
-    # Epoch lifecycle
+    # Epoch lifecycle, driven by the rules of repro.runtime.epochs
     # ------------------------------------------------------------------
 
     def _start_epoch(self, epoch: int) -> None:
         now = self.scheduler.now
-        attempted: list[int] = []
-        pre_failed: list[int] = []
-        for sid in self.tree.source_ids:
-            if sid in self.config.failed_sources or self.injector.node_down(sid, now):
-                pre_failed.append(sid)
-            else:
-                attempted.append(sid)
-        attempted_set = frozenset(attempted)
-        state = _EpochState(
-            epoch,
-            now,
-            attempted_set,
-            frozenset(pre_failed),
-            self._expected_contributions(attempted_set),
+        failed = self.config.failed_sources
+        plan = self.schedule.open(
+            epoch, lambda sid: sid in failed or self.injector.node_down(sid, now)
         )
-        self._states[epoch] = state
+        self._inboxes[epoch] = {
+            aid: MergeInbox(plan.expected[aid]) for aid in self.schedule.merge_order
+        }
+        self._settlements[epoch] = Settlement(plan, now)
 
-        for sid in attempted:
-            value = self.workload(sid, epoch)
-            psr = self._sources[sid].initialize(epoch, value)
-            parent = self.tree.parent(sid)
-            if parent is None:
-                raise SimulationError(f"source {sid} has no parent aggregator")
-            self.transport.send(
-                DataMessage(sid, parent, epoch, psr),
-                EdgeClass.SOURCE_TO_AGGREGATOR,
-                frozenset((sid,)),
-                on_deliver=self._make_deliver(epoch),
-            )
-
-        for aid in self._merge_schedule:
+        for sid in self.tree.source_ids:
+            if sid in plan.attempted:
+                psr = self._sources[sid].initialize(epoch, self.workload(sid, epoch))
+                self._send(epoch, sid, psr, frozenset((sid,)))
+        for aid in self.schedule.merge_order:
             self.scheduler.call_at(
-                now + self.config.hold_time * self._heights[aid],
+                self.schedule.merge_deadline(aid, now),
                 lambda a=aid, e=epoch: self._merge(e, a),
             )
-        querier_deadline = (
-            now
-            + self.config.hold_time * (self._heights[self.tree.root_id] + 1)
-            + self.config.querier_slack
+        self.scheduler.call_at(
+            self.schedule.querier_deadline(now), lambda e=epoch: self._expire(e)
         )
-        self.scheduler.call_at(querier_deadline, lambda e=epoch: self._finalize_lost(e))
 
-    def _make_deliver(self, epoch: int):
-        def deliver(message: DataMessage, manifest: frozenset[int]) -> None:
-            self._on_delivery(epoch, message, manifest)
-
-        return deliver
+    def _send(
+        self, epoch: int, sender: int, psr: PartialStateRecord, manifest: frozenset[int]
+    ) -> None:
+        parent = self.tree.parent(sender)
+        receiver = QUERIER_NODE_ID if parent is None else parent
+        self.transport.send(
+            DataMessage(sender, receiver, epoch, psr),
+            self.tree.edge_class(sender, receiver),
+            manifest,
+            on_deliver=lambda message, manifest: self._on_delivery(epoch, message, manifest),
+        )
 
     def _on_delivery(
         self, epoch: int, message: DataMessage, manifest: frozenset[int]
     ) -> None:
-        state = self._states[epoch]
-        if message.receiver == QUERIER_NODE_ID:
-            self._on_final(state, message, manifest)
-            return
-        aid = message.receiver
-        if aid in state.merged:
-            state.late_arrivals += 1
-            self._notify_late(epoch, message)
-            return
-        inbox = state.inboxes.setdefault(aid, [])
-        inbox.append((message.psr, manifest))
-        # Early merge: everything that can still arrive has arrived.
-        if len(inbox) >= state.expected.get(aid, 0):
-            self._merge(epoch, aid)
+        receiver = message.receiver
+        if receiver == QUERIER_NODE_ID:
+            settlement = self._settlements.get(epoch)
+            if settlement is not None and not settlement.settled:
+                querier = self._querier if self.config.evaluate else None
+                settlement.settle(
+                    message.psr,
+                    manifest,
+                    now=self.scheduler.now,
+                    querier=querier,
+                    num_sources=self.tree.num_sources,
+                )
+                return
+        else:
+            inbox = self._inboxes.get(epoch, {}).get(receiver)
+            if inbox is not None and not inbox.closed:
+                if inbox.offer(message.psr, manifest):
+                    self._merge(epoch, receiver)  # every expected child is in
+                return
+        self._late[epoch] += 1
+        observer = self.transport.observer
+        if observer is not None:
+            edge = self.tree.edge_class(message.sender, receiver)
+            observer(
+                "late",
+                transport_event(
+                    self.scheduler.now, epoch, None, None, edge, message.sender, receiver
+                ),
+            )
 
     def _merge(self, epoch: int, aid: int) -> None:
-        state = self._states[epoch]
-        if aid in state.merged:
+        inbox = self._inboxes[epoch][aid]
+        if inbox.closed:
             return  # early merge already ran; the deadline event no-ops
-        state.merged.add(aid)
-        if self.injector.node_down(aid, self.scheduler.now):
-            return  # a crashed aggregator forwards nothing; subtree is lost
-        received = state.inboxes.pop(aid, [])
-        if not received:
-            return  # whole subtree failed/undelivered this epoch
-        psrs = [psr for psr, _ in received]
-        manifest = frozenset().union(*(man for _, man in received))
-        merged = self._aggregators[aid].merge(epoch, psrs)
-        parent = self.tree.parent(aid)
-        if parent is None:
-            merged = self._aggregators[aid].finalize_for_querier(merged)
-            receiver, edge = QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER
-        else:
-            receiver, edge = parent, EdgeClass.AGGREGATOR_TO_AGGREGATOR
-        self.transport.send(
-            DataMessage(aid, receiver, epoch, merged),
-            edge,
-            manifest,
-            on_deliver=self._make_deliver(epoch),
+        forward = inbox.close(
+            self._aggregators[aid],
+            epoch,
+            is_root=aid == self.tree.root_id,
+            alive=not self.injector.node_down(aid, self.scheduler.now),
         )
+        if forward is not None:
+            self._send(epoch, aid, *forward)
 
-    # ------------------------------------------------------------------
-    # Querier side: evaluation and recovery
-    # ------------------------------------------------------------------
-
-    def _on_final(
-        self, state: _EpochState, message: DataMessage, manifest: frozenset[int]
-    ) -> None:
-        if state.finalized:
-            state.late_arrivals += 1
-            self._notify_late(state.epoch, message)
-            return
-        state.finalized = True
-        recovery = EpochRecovery.from_final_manifest(
-            state.epoch,
-            attempted=state.attempted,
-            manifest=manifest,
-            pre_failed=state.pre_failed,
-        )
-        em = RuntimeEpochMetrics(
-            epoch=state.epoch,
-            recovery=recovery,
-            completion_latency=self.scheduler.now - state.start_time,
-            late_arrivals=state.late_arrivals,
-        )
-        if self.config.evaluate:
-            subset = recovery.reporting_subset(self.tree.num_sources)
-            try:
-                em.result = self._querier.evaluate(
-                    state.epoch, message.psr, reporting_sources=subset
-                )
-            except SecurityError as exc:
-                em.security_failure = type(exc).__name__
-        if self._metrics is None:
-            raise SimulationError("epoch finalized outside an active run()")
-        self._metrics.epochs.append(em)
-
-    def _finalize_lost(self, epoch: int) -> None:
-        """Querier deadline: nothing arrived — record the epoch as lost.
-
-        ``MessageLost`` (sources reported but the network swallowed
-        every path to the querier) is kept distinct from ``NoResult``
-        (nothing was ever sent, e.g. all sources pre-failed), matching
-        :class:`~repro.network.simulator.NetworkSimulator` semantics.
-        """
-        state = self._states[epoch]
-        if state.finalized:
-            return  # the happy path already evaluated this epoch
-        state.finalized = True
-        recovery = EpochRecovery(
-            epoch=epoch,
-            attempted=state.attempted,
-            survivors=frozenset(),
-            pre_failed=state.pre_failed,
-            converged=False,
-        )
-        em = RuntimeEpochMetrics(
-            epoch=epoch,
-            recovery=recovery,
-            security_failure="MessageLost" if state.attempted else "NoResult",
-            late_arrivals=state.late_arrivals,
-        )
-        if self._metrics is None:
-            raise SimulationError("epoch finalized outside an active run()")
-        self._metrics.epochs.append(em)
+    def _expire(self, epoch: int) -> None:
+        """Querier deadline: settle the epoch (lost if nothing arrived), drop its state."""
+        del self._inboxes[epoch]
+        self._outcomes.append(self._settlements.pop(epoch).expire())

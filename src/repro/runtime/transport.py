@@ -8,7 +8,10 @@ the reporting-subset mechanism.  This module models the MAC half:
 * each physical attempt passes through the legitimate
   :class:`~repro.network.channel.Channel` (so adversary interceptors
   and byte counters see retransmissions exactly like first attempts)
-  and then through the :class:`~repro.runtime.faults.FaultInjector`;
+  and then through the fault injector — the sequential
+  :class:`~repro.runtime.faults.FaultInjector` or the attempt-keyed
+  :class:`~repro.runtime.faults.KeyedFaultInjector`, asked the same two
+  questions (``data_delays``, ``ack_delay``);
 * the receiver delivers the first copy to the application, suppresses
   duplicates by parcel id, and always returns a transport-level ACK
   (itself subject to link faults on the reverse direction);
@@ -39,6 +42,7 @@ __all__ = [
     "TransportStats",
     "ReliableTransport",
     "TransportObserver",
+    "transport_event",
 ]
 
 #: Application delivery callback: (delivered message, manifest).
@@ -47,9 +51,37 @@ DeliverFn = Callable[[DataMessage, frozenset[int]], None]
 FailFn = Callable[["Parcel"], None]
 #: Observability hook: ``(event kind, attributes)`` per transport event.
 #: Kinds: ``attempt``, ``drop``, ``deliver``, ``duplicate``, ``ack_lost``,
-#: ``give_up``.  Kept as a plain callable so the transport stays below
-#: :mod:`repro.obs` in the layering (the adapter lives up there).
+#: ``give_up``; attributes as built by :func:`transport_event`.  Kept as
+#: a plain callable so the transport stays below :mod:`repro.obs` in the
+#: layering (the adapter lives up there).
 TransportObserver = Callable[[str, dict], None]
+
+
+def transport_event(
+    time: float,
+    epoch: int,
+    uid: int | None,
+    attempt: int | None,
+    edge: EdgeClass,
+    sender: int,
+    receiver: int,
+    **extra: object,
+) -> dict:
+    """The attribute dict of one observer event, for every substrate.
+
+    ``uid``/``attempt`` are ``None`` for events that belong to no single
+    ARQ attempt (the runtime's ``late`` classification).
+    """
+    return {
+        "time": time,
+        "epoch": epoch,
+        "uid": uid,
+        "attempt": attempt,
+        "edge": edge.value,
+        "sender": sender,
+        "receiver": receiver,
+        **extra,
+    }
 
 
 @dataclass(frozen=True)
@@ -151,13 +183,12 @@ class ReliableTransport:
     def __init__(
         self,
         scheduler: EventScheduler,
-        injector: FaultInjector,
+        injector: FaultInjector | KeyedFaultInjector,
         channel: Channel,
         policy: RetransmitPolicy,
         *,
         seed: int = 0,
         stats: TransportStats | None = None,
-        keyed: KeyedFaultInjector | None = None,
         observer: TransportObserver | None = None,
     ) -> None:
         self.scheduler = scheduler
@@ -165,13 +196,6 @@ class ReliableTransport:
         self.channel = channel
         self.policy = policy
         self.stats = stats if stats is not None else TransportStats()
-        #: When set, link verdicts come from the attempt-coordinate-keyed
-        #: oracle (parcel uid = epoch, matching the TCP cluster) instead
-        #: of the sequential per-edge streams — same seed, same loss
-        #: schedule as the cluster, the basis of cross-substrate trace
-        #: comparison.  ``None`` preserves the historical sequential
-        #: draws bit for bit.
-        self.keyed = keyed
         #: Optional observability hook (see :data:`TransportObserver`).
         self.observer = observer
         self._backoff_rng = DeterministicRandom(seed, "transport", "backoff")
@@ -223,25 +247,16 @@ class ReliableTransport:
         outcome = self.channel.transmit(message, parcel.edge, frame=parcel.frame)
         self._notify("attempt", parcel, attempt_index)
         if outcome is not None:
-            if self.keyed is not None:
-                kv = self.keyed.data_verdict(
-                    message.sender, message.receiver, parcel.edge, message.epoch, attempt_index
-                )
-                latencies: tuple[float, ...] = ()
-                if not kv.lost:
-                    latencies = self.keyed.data_latencies(
-                        message.sender,
-                        message.receiver,
-                        parcel.edge,
-                        message.epoch,
-                        attempt_index,
-                        kv.copies,
-                    )
-            else:
-                verdict = self.injector.attempt(
-                    message.sender, message.receiver, parcel.edge, self.scheduler.now
-                )
-                latencies = verdict.latencies
+            # The keyed oracle takes the epoch as parcel uid, as the TCP
+            # cluster does: same seed, same loss schedule on both.
+            latencies = self.injector.data_delays(
+                message.sender,
+                message.receiver,
+                parcel.edge,
+                message.epoch,
+                attempt_index,
+                self.scheduler.now,
+            )
             if not latencies:
                 self._notify("drop", parcel, attempt_index, cause="link")
             for latency in latencies:
@@ -285,17 +300,19 @@ class ReliableTransport:
         if self.observer is None:
             return
         message = parcel.message
-        attrs: dict = {
-            "time": self.scheduler.now,
-            "epoch": message.epoch,
-            "uid": parcel.uid,
-            "attempt": attempt_index,
-            "edge": parcel.edge.value,
-            "sender": message.sender,
-            "receiver": message.receiver,
-        }
-        attrs.update(extra)
-        self.observer(kind, attrs)
+        self.observer(
+            kind,
+            transport_event(
+                self.scheduler.now,
+                message.epoch,
+                parcel.uid,
+                attempt_index,
+                parcel.edge,
+                message.sender,
+                message.receiver,
+                **extra,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -319,23 +336,13 @@ class ReliableTransport:
         # The transport ACKs every copy (the sender may have missed the
         # previous ACK); the reverse direction suffers the same faults.
         TransportStats._bump(self.stats.acks_sent, parcel.edge)
-        if self.keyed is not None:
-            if self.keyed.ack_verdict(
-                message.sender, receiver, parcel.edge, message.epoch, attempt_index
-            ):
-                TransportStats._bump(self.stats.acks_lost, parcel.edge)
-                self._notify("ack_lost", parcel, attempt_index)
-                return
-            delay = self.keyed.ack_latency(
-                message.sender, receiver, parcel.edge, message.epoch, attempt_index
-            )
-        else:
-            verdict = self.injector.attempt(receiver, message.sender, parcel.edge, now)
-            if verdict.lost:
-                TransportStats._bump(self.stats.acks_lost, parcel.edge)
-                self._notify("ack_lost", parcel, attempt_index)
-                return
-            delay = verdict.latencies[0]
+        delay = self.injector.ack_delay(
+            message.sender, receiver, parcel.edge, message.epoch, attempt_index, now
+        )
+        if delay is None:
+            TransportStats._bump(self.stats.acks_lost, parcel.edge)
+            self._notify("ack_lost", parcel, attempt_index)
+            return
         # Multiple ACK copies collapse into the first; extras are no-ops.
         self.scheduler.call_later(delay, lambda p=parcel: self._ack(p))
 
