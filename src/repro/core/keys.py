@@ -21,6 +21,7 @@ what the attack model assumes a compromised source can leak.
 from __future__ import annotations
 
 import secrets
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.crypto.prf import PRF, encode_epoch
@@ -152,3 +153,20 @@ class SIESKeyMaterial:
     def share_digest_at(self, source_id: int, epoch: int) -> bytes:
         """``ss_i,t`` digest bytes (one HM1); layouts truncate as needed."""
         return self._share_prfs[source_id].at_epoch(epoch)
+
+    def pads_and_shares_at(
+        self, epoch: int, source_ids: Iterable[int]
+    ) -> Iterator[tuple[int, bytes]]:
+        """``(k_i,t, ss_i,t digest)`` per source — one HM256 and one HM1 each.
+
+        Equal to :meth:`source_pad_at` and :meth:`share_digest_at` per
+        source; the epoch is encoded once for the whole subset.
+        """
+        encoded = encode_epoch(epoch)
+        pad_prfs = self._pad_prfs
+        share_prfs = self._share_prfs
+        for source_id in source_ids:
+            yield (
+                bytes_to_int(pad_prfs[source_id].evaluate(encoded)),
+                share_prfs[source_id].evaluate(encoded),
+            )

@@ -210,9 +210,10 @@ class SIESQuerier(QuerierRole):
         if cache is None:
             keys = self._keys
             k_t = keys.master_key_at(epoch)
-            for source_id in contributors:
-                pad_sum = (pad_sum + keys.source_pad_at(source_id, epoch)) % self._p
-                share_sum += truncate(keys.share_digest_at(source_id, epoch))
+            for pad, share in keys.pads_and_shares_at(epoch, contributors):
+                pad_sum += pad
+                share_sum += truncate(share)
+            pad_sum %= self._p
             if self._ops is not None:
                 self._ops.add("hm256", len(contributors) + 1)
                 self._ops.add("hm1", len(contributors))

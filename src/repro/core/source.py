@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.keys import SourceKeys, _temporal_int
 from repro.core.layout import MessageLayout
+from repro.crypto.prf import encode_epoch
 from repro.errors import LayoutError
 from repro.protocols.base import OpCounter, PartialStateRecord, SourceRole
 from repro.utils.bytesops import bytes_to_int
@@ -80,8 +81,9 @@ class SIESSource(SourceRole):
             )
 
         k_t = _temporal_int(self._master_prf, epoch, self._p, require_invertible=True)
-        k_it = bytes_to_int(self._pad_prf.at_epoch(epoch))
-        share = layout.truncate_share(self._share_prf.at_epoch(epoch))
+        encoded = encode_epoch(epoch)
+        k_it = bytes_to_int(self._pad_prf.evaluate(encoded))
+        share = layout.truncate_share(self._share_prf.evaluate(encoded))
 
         message = layout.encode(value, share)
         ciphertext = (k_t * message + k_it) % self._p

@@ -12,7 +12,10 @@ Each primitive is timed exactly as the protocols execute it:
 * ``C_sk`` — one per-item sketch insertion (hash + trailing zeros),
   i.e. the reference ``PER_ITEM`` strategy's unit cost.
 
-Results are cached per process: experiments re-use one measurement.
+Results of :func:`measure_constants` are cached per process:
+experiments re-use one measurement.  :func:`measure_hmac_constants`
+is never cached — it is for comparisons that need the HMAC constants
+timed in the same window as the measurement they are compared with.
 """
 
 from __future__ import annotations
@@ -27,10 +30,26 @@ from repro.crypto.primes import next_prime
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.utils.timing import time_operation
 
-__all__ = ["measure_constants", "DEFAULT_REPEATS"]
+__all__ = ["measure_constants", "measure_hmac_constants", "DEFAULT_REPEATS"]
 
 DEFAULT_REPEATS = 5
 _cache: dict[tuple[int, int, int], CostConstants] = {}
+
+
+def measure_hmac_constants(
+    *,
+    repeat: int = DEFAULT_REPEATS,
+    inner_loops: int = 200,
+    seed: int = 2011,
+) -> tuple[float, float]:
+    """``(C_HM1, C_HM256)`` on this machine, timed now (never cached)."""
+    key20 = random.Random(seed).randbytes(20)
+    epoch_msg = (12345).to_bytes(8, "big")
+
+    def timed(op) -> float:
+        return time_operation(op, repeat=repeat, inner_loops=inner_loops).median
+
+    return timed(lambda: HM1(key20, epoch_msg)), timed(lambda: HM256(key20, epoch_msg))
 
 
 def measure_constants(
@@ -50,8 +69,8 @@ def measure_constants(
         return _cache[cache_key]
 
     rng = random.Random(seed)
-    key20 = rng.randbytes(20)
-    epoch_msg = (12345).to_bytes(8, "big")
+    rng.randbytes(20)  # the HMAC key: measure_hmac_constants draws it from the same seed
+    c_hm1, c_hm256 = measure_hmac_constants(repeat=repeat, inner_loops=inner_loops, seed=seed)
 
     p256 = next_prime(1 << 255)
     a256 = rng.getrandbits(255)
@@ -69,8 +88,8 @@ def measure_constants(
         return time_operation(op, repeat=repeat, inner_loops=inner_loops).median
 
     constants = CostConstants(
-        c_hm1=timed(lambda: HM1(key20, epoch_msg)),
-        c_hm256=timed(lambda: HM256(key20, epoch_msg)),
+        c_hm1=c_hm1,
+        c_hm256=c_hm256,
         c_a20=timed(lambda: (a160 + b160) % n160),
         c_a32=timed(lambda: (a256 + b256) % p256),
         c_m32=timed(lambda: (a256 * b256) % p256),

@@ -102,18 +102,7 @@ def get_hash(name: str, backend: str | None = None) -> HashFunction:
         raise ConfigurationError(
             f"unknown hash backend {chosen!r}; expected one of {_BACKENDS}"
         )
-    digest_size, block_size = _SIZES[name]
-    if chosen == "pure":
-        factory = _PURE_FACTORIES[name]
-    else:
-        factory = _hashlib_factory(name)
-    return HashFunction(
-        name=name,
-        digest_size=digest_size,
-        block_size=block_size,
-        backend=chosen,
-        _factory=factory,
-    )
+    return _HASHES[name, chosen]
 
 
 def _hashlib_factory(name: str) -> Callable[[bytes], object]:
@@ -121,6 +110,21 @@ def _hashlib_factory(name: str) -> Callable[[bytes], object]:
         return hashlib.new(name, data)
 
     return factory
+
+
+#: One immutable descriptor per (algorithm, backend), built at import so
+#: that resolving a hash on a hot path is a dictionary lookup.
+_HASHES: dict[tuple[str, str], HashFunction] = {
+    (name, backend): HashFunction(
+        name=name,
+        digest_size=digest_size,
+        block_size=block_size,
+        backend=backend,
+        _factory=_PURE_FACTORIES[name] if backend == "pure" else _hashlib_factory(name),
+    )
+    for name, (digest_size, block_size) in _SIZES.items()
+    for backend in _BACKENDS
+}
 
 
 def sha1(backend: str | None = None) -> HashFunction:

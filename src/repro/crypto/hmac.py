@@ -12,13 +12,23 @@ This module implements HMAC from its definition,
 ``H((K' ⊕ opad) ∥ H((K' ⊕ ipad) ∥ m))``, over any
 :class:`repro.crypto.hashes.HashFunction` — including the pure-Python
 backends — and is cross-validated against :mod:`hmac` in the tests.
+
+Every one-shot HMAC in the library (:func:`digest`, and through it
+:func:`hmac_digest`, :func:`HM1`, :func:`HM256` and
+:meth:`repro.crypto.prf.PRF.evaluate`) dispatches on the hash backend
+in one place: on ``"hashlib"`` it is OpenSSL's one-shot
+:func:`hmac.digest`; on ``"pure"`` it is the :class:`HMAC` construction
+over the from-scratch hashes.  Both give the same bytes — the tests
+cross-check them — and neither keeps per-key hash state between calls.
 """
 
 from __future__ import annotations
 
+import hmac as _stdlib_hmac
+
 from repro.crypto.hashes import HashFunction, get_hash
 
-__all__ = ["hmac_digest", "HMAC", "HM1", "HM256"]
+__all__ = ["digest", "hmac_digest", "HMAC", "HM1", "HM256"]
 
 _IPAD = 0x36
 _OPAD = 0x5C
@@ -54,6 +64,13 @@ class HMAC:
         return self.digest().hex()
 
 
+def digest(key: bytes, message: bytes, hash_function: HashFunction) -> bytes:
+    """One-shot HMAC of *message* under *key* — the backend dispatch point."""
+    if hash_function.backend == "hashlib":
+        return _stdlib_hmac.digest(key, message, hash_function.name)
+    return HMAC(key, hash_function, message).digest()
+
+
 def hmac_digest(
     key: bytes,
     message: bytes,
@@ -61,14 +78,14 @@ def hmac_digest(
     backend: str | None = None,
 ) -> bytes:
     """One-shot HMAC of *message* under *key*."""
-    return HMAC(key, get_hash(algorithm, backend), message).digest()
+    return digest(key, message, get_hash(algorithm, backend))
 
 
 def HM1(key: bytes, message: bytes, backend: str | None = None) -> bytes:
     """The paper's ``HM1``: HMAC-SHA1, 20-byte digest."""
-    return HMAC(key, get_hash("sha1", backend), message).digest()
+    return digest(key, message, get_hash("sha1", backend))
 
 
 def HM256(key: bytes, message: bytes, backend: str | None = None) -> bytes:
     """The paper's ``HM256``: HMAC-SHA256, 32-byte digest."""
-    return HMAC(key, get_hash("sha256", backend), message).digest()
+    return digest(key, message, get_hash("sha256", backend))

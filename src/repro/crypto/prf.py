@@ -14,7 +14,7 @@ input for all 64-bit epochs — ambiguity between inputs like ``t=1`` and
 
 from __future__ import annotations
 
-from repro.crypto.hmac import HMAC
+from repro.crypto.hmac import digest
 from repro.crypto.hashes import get_hash
 from repro.errors import ParameterError
 from repro.utils.bytesops import bytes_to_int, int_to_bytes
@@ -61,7 +61,7 @@ class PRF:
 
     def evaluate(self, message: bytes) -> bytes:
         """``F_K(message)`` as raw bytes (one HMAC evaluation)."""
-        return HMAC(self._key, self._hash, message).digest()
+        return digest(self._key, message, self._hash)
 
     def at_epoch(self, epoch: int) -> bytes:
         """``F_K(t)`` with the canonical epoch encoding — the paper's use."""

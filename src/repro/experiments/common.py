@@ -18,7 +18,10 @@ module measures each party directly:
 
 Every measurement also returns the primitive-operation ledger, so each
 experiment reports modeled time (Section V equations at host constants)
-next to measured wall time.
+next to measured wall time.  Timed calls run with the cyclic garbage
+collector paused (:func:`repro.utils.timing.gc_paused`), as the
+Table II constants are timed, so a collection of objects the process
+already held is not charged to one party's phase.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.protocols.base import (
     SecureAggregationProtocol,
 )
 from repro.utils.bytesops import bytes_to_int
+from repro.utils.timing import gc_paused
 
 __all__ = [
     "PartyMeasurement",
@@ -89,9 +93,10 @@ def measure_source_cost(
         role = protocol.create_source(source_id, ops=ops)
         for epoch in epochs:
             value = workload(source_id, epoch)
-            start = time.perf_counter()
-            role.initialize(epoch, value)
-            total += time.perf_counter() - start
+            with gc_paused():
+                start = time.perf_counter()
+                role.initialize(epoch, value)
+                total += time.perf_counter() - start
             samples += 1
     return PartyMeasurement(mean_seconds=total / samples, samples=samples, ops=ops)
 
@@ -113,9 +118,10 @@ def measure_aggregator_cost(
     samples = 0
     for epoch in epochs:
         psrs = [s.initialize(epoch, workload(s.source_id, epoch)) for s in sources]
-        start = time.perf_counter()
-        aggregator.merge(epoch, psrs)
-        total += time.perf_counter() - start
+        with gc_paused():
+            start = time.perf_counter()
+            aggregator.merge(epoch, psrs)
+            total += time.perf_counter() - start
         samples += 1
     return PartyMeasurement(mean_seconds=total / samples, samples=samples, ops=ops)
 
@@ -134,9 +140,10 @@ def measure_querier_cost(
     for epoch in epochs:
         values = [workload(i, epoch) for i in range(protocol.num_sources)]
         final_psr = build_final_psr(protocol, epoch, values)
-        start = time.perf_counter()
-        result = querier.evaluate(epoch, final_psr)
-        total += time.perf_counter() - start
+        with gc_paused():
+            start = time.perf_counter()
+            result = querier.evaluate(epoch, final_psr)
+            total += time.perf_counter() - start
         samples += 1
         if not result.verified and protocol.provides_integrity:
             raise ParameterError("synthesized final PSR failed verification")

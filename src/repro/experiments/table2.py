@@ -37,7 +37,8 @@ def run(*, repeat: int = 5, inner_loops: int = 200) -> ExperimentReport:
         ours = {"S_sk": PAPER_SIZES.s_sk, "S_inf": PAPER_SIZES.s_inf, "S_SEAL": PAPER_SIZES.s_seal}[name]
         report.add_row(name, f"{ours} B", f"{size} B", "1.00x")
     report.add_note(
-        "host constants are medians of repeated batches; pure-Python HMAC/RSA "
+        "host constants are medians of repeated batches; HMACs are OpenSSL's "
+        "one-shot hmac.digest behind a Python call, RSA is CPython pow — both "
         "carry interpreter overhead the paper's C++ does not"
     )
     report.data = {"host_us": host_us, "paper_us": dict(TABLE2_CONSTANTS_US), "constants": host}

@@ -59,6 +59,11 @@ class EdgeClass(enum.Enum):
     AGGREGATOR_TO_AGGREGATOR = "A-A"
     AGGREGATOR_TO_QUERIER = "A-Q"
 
+    #: Members are singletons, so identity hashing is exact; it keeps
+    #: the per-edge counter dicts off ``Enum.__hash__`` (a Python-level
+    #: call hashing the member name) on every ARQ attempt.
+    __hash__ = object.__hash__
+
 
 #: A PSR-level interceptor sees each decoded message and may modify or
 #: drop it (the post-decode adversary surface).

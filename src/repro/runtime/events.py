@@ -14,28 +14,31 @@ never by wall clocks.  Determinism rests on two invariants:
 
 The scheduler is intentionally minimal (a binary heap and a cancel
 flag): protocols and transports build timers, timeouts and deadlines
-out of :meth:`EventScheduler.call_at` / :meth:`call_later` alone.
+out of :meth:`EventScheduler.call_at` / :meth:`call_later` alone.  The
+heap holds ``(time, seq, event)`` tuples, so ordering compares a float
+and an int in C; ``seq`` is unique, so a comparison never reaches the
+event itself.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
 __all__ = ["EventScheduler", "ScheduledEvent"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class ScheduledEvent:
-    """A pending callback; comparable by ``(time, seq)`` for the heap."""
+    """A pending callback: the handle :meth:`EventScheduler.call_at` returns."""
 
     time: float
     seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event dead; the scheduler skips it on pop."""
@@ -48,7 +51,7 @@ class EventScheduler:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._processed = 0
 
     @property
@@ -63,7 +66,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def call_at(self, when: float, action: Callable[[], None]) -> ScheduledEvent:
         """Schedule *action* at absolute logical time *when*."""
@@ -71,9 +74,10 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < now={self._now}"
             )
-        event = ScheduledEvent(time=when, seq=self._seq, action=action)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = ScheduledEvent(when, seq, action)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def call_later(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
@@ -89,13 +93,14 @@ class EventScheduler:
         reschedules forever should fail loudly, not hang the suite.
         """
         processed = 0
-        while self._heap:
+        heap = self._heap
+        while heap:
             if until is not None and until():
                 return
-            event = heapq.heappop(self._heap)
+            when, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             event.action()
             self._processed += 1
             processed += 1

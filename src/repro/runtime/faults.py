@@ -151,6 +151,10 @@ class LinkVerdict:
         return len(self.latencies)
 
 
+#: The verdict of every lost attempt (immutable, so one instance serves).
+_LOST = LinkVerdict(lost=True, latencies=())
+
+
 class FaultInjector:
     """Deterministic oracle answering "what happens to this transmission?"."""
 
@@ -158,6 +162,10 @@ class FaultInjector:
         self.plan = plan
         self._seed = seed
         self._streams: dict[tuple[int, int], DeterministicRandom] = {}
+        #: The plan's outage windows, grouped by node once.
+        self._outages: dict[int, list[NodeOutage]] = {}
+        for outage in plan.outages:
+            self._outages.setdefault(outage.node_id, []).append(outage)
         #: Transmission attempts adjudicated, per edge class (diagnostics).
         self.attempts_by_class: dict[EdgeClass, int] = {}
 
@@ -171,7 +179,8 @@ class FaultInjector:
 
     def node_down(self, node_id: int, now: float) -> bool:
         """True when the node is inside any of its outage windows."""
-        return any(o.node_id == node_id and o.down(now) for o in self.plan.outages)
+        windows = self._outages.get(node_id)
+        return windows is not None and any(o.down(now) for o in windows)
 
     def effective_loss_rate(self, edge: EdgeClass, now: float) -> float:
         """Steady-state loss combined with every active burst."""
@@ -198,10 +207,8 @@ class FaultInjector:
         u_dup = rng.random()
         u_dup_latency = rng.random()
 
-        if self.node_down(receiver, now):
-            return LinkVerdict(lost=True, latencies=())
-        if u_loss < self.effective_loss_rate(edge, now):
-            return LinkVerdict(lost=True, latencies=())
+        if self.node_down(receiver, now) or u_loss < self.effective_loss_rate(edge, now):
+            return _LOST
 
         latencies = [profile.latency + u_latency * profile.jitter]
         if u_dup < profile.duplicate_rate:

@@ -10,13 +10,14 @@ constants.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "TimingStats", "time_operation"]
+__all__ = ["Stopwatch", "TimingStats", "time_operation", "gc_paused"]
 
 
 @dataclass
@@ -114,6 +115,24 @@ class Stopwatch:
         self._counts.clear()
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a timed region, as :mod:`timeit` does.
+
+    A collection is triggered by allocation counts, not by the timed
+    operation itself, and its pause grows with every object the process
+    holds — so without this, a sub-millisecond measurement taken late in
+    a long process can absorb a collection of unrelated objects.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def time_operation(
     operation: Callable[[], object],
     *,
@@ -126,15 +145,17 @@ def time_operation(
     Each recorded sample is the mean per-call time of one batch of
     ``inner_loops`` invocations; *warmup* unrecorded batches run first so
     Python-level caches (bytecode specialization, hash backends) settle.
+    The cyclic garbage collector is paused throughout (:func:`gc_paused`).
     """
     stats = TimingStats()
-    for _ in range(warmup):
-        for _ in range(inner_loops):
-            operation()
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(inner_loops):
-            operation()
-        elapsed = time.perf_counter() - start
-        stats.add(elapsed / inner_loops)
+    with gc_paused():
+        for _ in range(warmup):
+            for _ in range(inner_loops):
+                operation()
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for _ in range(inner_loops):
+                operation()
+            elapsed = time.perf_counter() - start
+            stats.add(elapsed / inner_loops)
     return stats

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.errors import SimulationError
@@ -81,3 +83,39 @@ def test_until_predicate_stops_the_loop() -> None:
     scheduler.run(until=lambda: len(fired) >= 3)
     assert fired == [0, 1, 2]
     assert scheduler.pending == 2
+
+
+def test_cancelled_and_live_event_tied_at_the_same_time() -> None:
+    scheduler = EventScheduler()
+    fired: list[str] = []
+    doomed = scheduler.call_at(2.0, lambda: fired.append("doomed"))
+    scheduler.call_at(2.0, lambda: fired.append("live"))
+    doomed.cancel()
+    scheduler.run()
+    assert fired == ["live"]
+    assert scheduler.now == 2.0
+    assert scheduler.events_processed == 1
+
+
+def test_pending_excludes_cancelled_events() -> None:
+    scheduler = EventScheduler()
+    first = scheduler.call_at(1.0, lambda: None)
+    scheduler.call_at(2.0, lambda: None)
+    scheduler.call_at(2.0, lambda: None)
+    assert scheduler.pending == 3
+    first.cancel()
+    assert scheduler.pending == 2
+    scheduler.run()
+    assert scheduler.pending == 0
+
+
+def test_incomparable_actions_at_equal_times_never_get_compared() -> None:
+    # functools.partial objects define no ordering: if the heap ever fell
+    # through to comparing events, this would raise TypeError.
+    scheduler = EventScheduler()
+    fired: list[int] = []
+    for i in range(20):
+        scheduler.call_at(1.0, functools.partial(fired.append, i))
+    scheduler.call_at(0.5, functools.partial(fired.append, -1))
+    scheduler.run()
+    assert fired == [-1, *range(20)]
