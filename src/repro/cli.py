@@ -52,7 +52,7 @@ import argparse
 import sys
 
 from repro.core.params import SIESParams
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.core.security import bounds_for
 from repro.datasets.workload import DomainScaledWorkload
 from repro.network.channel import EdgeClass
@@ -607,9 +607,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.obs import TraceRecorder, diff_traces
 
+    recorded: dict[str, TraceRecorder] = {}
+    for path in filter(None, (args.input, args.diff)):
+        try:
+            with open(path, encoding="utf-8") as stream:
+                recorded[path] = TraceRecorder.read_jsonl(stream)
+        except (ParameterError, OSError, UnicodeDecodeError) as exc:
+            # Exit 2, not 1: under --diff, 1 means "the traces diverge".
+            print(f"repro trace: {path}: {exc}", file=sys.stderr)
+            return 2
     if args.input:
-        with open(args.input, encoding="utf-8") as stream:
-            recorder = TraceRecorder.read_jsonl(stream)
+        recorder = recorded[args.input]
     else:
         recorder = TraceRecorder(
             substrate=args.substrate, run_id=f"seed-{args.seed}"
@@ -617,8 +625,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         _run_observed(args, recorder)
 
     if args.diff:
-        with open(args.diff, encoding="utf-8") as stream:
-            other = TraceRecorder.read_jsonl(stream)
+        other = recorded[args.diff]
         verdict = diff_traces(
             recorder.events,
             other.events,

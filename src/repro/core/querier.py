@@ -18,14 +18,6 @@ reporting subset is validated up front — an empty subset, a duplicate
 source id, or an out-of-range id would make the decryption silently
 produce garbage, so all three raise :class:`~repro.errors.ProtocolError`
 instead.
-
-Step 1 is the only per-epoch cost that does not depend on the incoming
-PSR, so it can be amortized: construct the querier with a
-:class:`~repro.crypto.keycache.KeyScheduleCache` and the temporal
-derivations are served from (and charged to) the cache — ``prefetch``
-a window once, then every evaluation against it performs zero HMAC
-work.  Without a cache the behaviour and op accounting are exactly the
-paper's.
 """
 
 from __future__ import annotations
@@ -35,9 +27,8 @@ from collections.abc import Sequence
 from repro.core.keys import SIESKeyMaterial
 from repro.core.layout import MessageLayout
 from repro.core.source import SIESRecord
-from repro.crypto.keycache import KeyScheduleCache
 from repro.crypto.modular import modinv
-from repro.errors import LayoutError, ProtocolError, SecurityError, VerificationFailure
+from repro.errors import LayoutError, ProtocolError, VerificationFailure
 from repro.protocols.base import EvaluationResult, OpCounter, PartialStateRecord, QuerierRole
 from repro.utils.bytesops import constant_time_eq, int_to_bytes
 
@@ -55,11 +46,6 @@ class SIESQuerier(QuerierRole):
         The Fig. 2 message layout shared with the sources.
     ops:
         Optional ledger for primitive-operation counts.
-    key_cache:
-        Optional :class:`~repro.crypto.keycache.KeyScheduleCache` over
-        *keys* (or an equivalent provider).  When present, temporal
-        derivations go through the cache and HMAC operations are
-        charged to *ops* only for actual cache misses.
     """
 
     def __init__(
@@ -68,17 +54,11 @@ class SIESQuerier(QuerierRole):
         layout: MessageLayout,
         *,
         ops: OpCounter | None = None,
-        key_cache: KeyScheduleCache | None = None,
     ) -> None:
         self._keys = keys
         self._layout = layout
         self._p = keys.p
         self._ops = ops
-        self._cache = key_cache
-
-    @property
-    def key_cache(self) -> KeyScheduleCache | None:
-        return self._cache
 
     def evaluate(
         self,
@@ -135,34 +115,6 @@ class SIESQuerier(QuerierRole):
             extras={"secret": extracted_secret, "contributors": n},
         )
 
-    def evaluate_many(
-        self,
-        items: Sequence[tuple[int, PartialStateRecord, Sequence[int] | None]],
-    ) -> list[EvaluationResult | SecurityError]:
-        """Evaluate a window of final PSRs (batched pipeline entry point).
-
-        Every item's reporting subset is validated *before* any
-        evaluation runs, so caller errors (empty subset, duplicate or
-        out-of-range ids) raise :class:`~repro.errors.ProtocolError`
-        eagerly for the whole batch.  Security failures are captured
-        per item — see :meth:`QuerierRole.evaluate_many`.
-
-        With a warm :class:`~repro.crypto.keycache.KeyScheduleCache`
-        the whole batch performs zero HMAC evaluations; with a cold
-        cache (or none) each epoch costs the paper's ``N+1`` HM256 +
-        ``N`` HM1, exactly like sequential evaluation.
-        """
-        batch = list(items)
-        for _, _, reporting_sources in batch:
-            self._validated_contributors(reporting_sources)
-        outcomes: list[EvaluationResult | SecurityError] = []
-        for epoch, psr, reporting_sources in batch:
-            try:
-                outcomes.append(self.evaluate(epoch, psr, reporting_sources=reporting_sources))
-            except SecurityError as exc:
-                outcomes.append(exc)
-        return outcomes
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -197,29 +149,16 @@ class SIESQuerier(QuerierRole):
         return contributors
 
     def _temporal_material(self, epoch: int, contributors: list[int]) -> tuple[int, int, int]:
-        """``(K_t, Σ k_i,t mod p, Σ truncated ss_i,t)`` for the epoch.
-
-        Direct derivation charges the full ``N+1``/``N`` HMAC cost;
-        the cached path charges only actual misses (the cache does the
-        accounting), so op counts stay honest in both modes.
-        """
-        cache = self._cache
+        """``(K_t, Σ k_i,t mod p, Σ truncated ss_i,t)`` for the epoch."""
+        keys = self._keys
         truncate = self._layout.truncate_share
+        k_t = keys.master_key_at(epoch)
         pad_sum = 0
         share_sum = 0
-        if cache is None:
-            keys = self._keys
-            k_t = keys.master_key_at(epoch)
-            for pad, share in keys.pads_and_shares_at(epoch, contributors):
-                pad_sum += pad
-                share_sum += truncate(share)
-            pad_sum %= self._p
-            if self._ops is not None:
-                self._ops.add("hm256", len(contributors) + 1)
-                self._ops.add("hm1", len(contributors))
-        else:
-            k_t = cache.master_key_at(epoch, ops=self._ops)
-            for source_id in contributors:
-                pad_sum = (pad_sum + cache.source_pad_at(source_id, epoch, ops=self._ops)) % self._p
-                share_sum += truncate(cache.share_digest_at(source_id, epoch, ops=self._ops))
-        return k_t, pad_sum, share_sum
+        for pad, share in keys.pads_and_shares_at(epoch, contributors):
+            pad_sum += pad
+            share_sum += truncate(share)
+        if self._ops is not None:
+            self._ops.add("hm256", len(contributors) + 1)
+            self._ops.add("hm1", len(contributors))
+        return k_t, pad_sum % self._p, share_sum

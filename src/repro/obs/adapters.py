@@ -33,8 +33,7 @@ class ChannelTraceAdapter:
     lossless function-call links, so a hop observed is a hop delivered;
     :func:`~repro.obs.trace.trace_dispositions` treats ``send``
     accordingly.  Attach/detach are idempotent and the recorder is
-    cleared on every ``begin_run`` — same run-scoping contract as
-    :class:`~repro.network.tracing.SimulationTracer`.
+    cleared on every ``begin_run``, so a trace covers exactly one run.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:

@@ -1,9 +1,8 @@
 """The unified structured trace: one event schema for every substrate.
 
-:class:`ObsEvent` generalizes the network layer's
-:class:`~repro.network.tracing.TraceEvent` with the fields the other
-substrates need — *substrate* name, *run id*, *attempt index*, parcel
-*uid*, and a *kind* that classifies the disposition of the hop:
+:class:`ObsEvent` records one hop with the fields every substrate
+needs — *substrate* name, *run id*, *attempt index*, parcel *uid*, and
+a *kind* that classifies the disposition of the hop:
 
 ======================  =====================================================
 kind                    meaning
@@ -61,6 +60,24 @@ EVENT_KINDS: frozenset[str] = frozenset(
 #: generous deadlines); the slice cross-substrate tests compare.
 _DETERMINED_KINDS: tuple[str, ...] = ("deliver", "drop", "late", "decode_failure")
 
+#: JSON key, :class:`ObsEvent` field, accepted types, required.
+_JSON_FIELDS: tuple[tuple[str, str, type | tuple[type, ...], bool], ...] = (
+    ("seq", "sequence", int, True),
+    ("sub", "substrate", str, True),
+    ("run", "run_id", str, True),
+    ("kind", "kind", str, True),
+    ("epoch", "epoch", int, True),
+    ("edge", "edge", str, True),
+    ("from", "sender", int, True),
+    ("to", "receiver", int, True),
+    ("time", "time", (int, float), False),
+    ("attempt", "attempt", int, False),
+    ("uid", "uid", int, False),
+    ("bytes", "wire_bytes", int, False),
+    ("psr", "psr_type", str, False),
+    ("detail", "detail", str, False),
+)
+
 
 @dataclass(frozen=True)
 class ObsEvent:
@@ -110,23 +127,28 @@ class ObsEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "ObsEvent":
-        data = json.loads(line)
-        return cls(
-            sequence=data["seq"],
-            substrate=data["sub"],
-            run_id=data["run"],
-            kind=data["kind"],
-            epoch=data["epoch"],
-            edge=data["edge"],
-            sender=data["from"],
-            receiver=data["to"],
-            time=data.get("time"),
-            attempt=data.get("attempt"),
-            uid=data.get("uid"),
-            wire_bytes=data.get("bytes"),
-            psr_type=data.get("psr"),
-            detail=data.get("detail"),
-        )
+        """Parse one JSON-lines record; malformed input raises ParameterError."""
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"not JSON ({exc.msg} at column {exc.colno})") from exc
+        except ValueError as exc:  # e.g. an integer beyond the digit limit
+            raise ParameterError(f"not JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ParameterError("trace event is not a JSON object")
+        fields: dict = {}
+        for json_name, name, kinds, required in _JSON_FIELDS:
+            value = data.get(json_name)
+            if value is None:
+                if required:
+                    raise ParameterError(f"trace event lacks {json_name!r}")
+                continue
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ParameterError(f"trace event field {json_name!r} has the wrong type")
+            fields[name] = value
+        if fields["kind"] not in EVENT_KINDS:
+            raise ParameterError(f"unknown trace event kind {fields['kind']!r}")
+        return cls(**fields)
 
 
 @dataclass
@@ -230,7 +252,15 @@ class TraceRecorder:
 
     @classmethod
     def read_jsonl(cls, stream: IO[str]) -> "TraceRecorder":
-        events = [ObsEvent.from_json(line) for line in stream if line.strip()]
+        """Read a JSON-lines trace; a malformed line raises ParameterError naming it."""
+        events = []
+        for number, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(ObsEvent.from_json(line))
+            except ParameterError as exc:
+                raise ParameterError(f"line {number}: {exc}") from exc
         substrate = events[0].substrate if events else "unknown"
         run_id = events[0].run_id if events else "run-0"
         recorder = cls(substrate=substrate, run_id=run_id)

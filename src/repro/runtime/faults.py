@@ -166,8 +166,6 @@ class FaultInjector:
         self._outages: dict[int, list[NodeOutage]] = {}
         for outage in plan.outages:
             self._outages.setdefault(outage.node_id, []).append(outage)
-        #: Transmission attempts adjudicated, per edge class (diagnostics).
-        self.attempts_by_class: dict[EdgeClass, int] = {}
 
     def _stream(self, sender: int, receiver: int) -> DeterministicRandom:
         key = (sender, receiver)
@@ -199,7 +197,6 @@ class FaultInjector:
         duplication, duplicate latency) so verdict outcomes never shift
         the stream for later attempts on the same edge.
         """
-        self.attempts_by_class[edge] = self.attempts_by_class.get(edge, 0) + 1
         profile = self.plan.profile_for(edge)
         rng = self._stream(sender, receiver)
         u_loss = rng.random()

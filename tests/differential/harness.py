@@ -1,9 +1,11 @@
-"""Differential harness: the batched pipeline must equal the sequential one.
+"""Differential harness: the simulator's two epoch loops must agree.
 
-Every perf-oriented change to the epoch pipeline rides on the same
-contract: replay an *identical* workload — same keys, same topology,
-same failures, same adversary — through ``NetworkSimulator.run`` and
-``NetworkSimulator.run_batched`` and require
+``NetworkSimulator.run`` executes a whole run against one traffic
+ledger; ``NetworkSimulator.run_epoch`` executes one epoch as a run of
+its own (the entry point the benchmark drives).  Replaying an
+*identical* workload — same keys, same topology, same failures, same
+adversary — through ``run()`` and through a ``run_epoch()`` loop must
+give
 
 * **ciphertexts** — every PSR observed on the channel (post-adversary)
   is bit-identical, keyed by ``(epoch, sender)``;
@@ -11,9 +13,10 @@ same failures, same adversary — through ``NetworkSimulator.run`` and
 * **verdicts** — per-epoch accept/reject outcomes and security-failure
   class names match (no detection divergence, no false-positive skew);
 * **op counts** — the source/aggregator/querier primitive-operation
-  ledgers are equal, so the fast path cannot silently do different
-  (or skipped) crypto;
-* **traffic** — per-edge byte/message counters match.
+  ledgers are equal, so neither loop does different (or skipped)
+  crypto;
+* **traffic** — per-edge byte/message counters match (the
+  ``run_epoch`` path sums its per-epoch ledgers).
 
 Both paths get fresh protocol/simulator/adversary instances built from
 the same :class:`RunSpec` (seeded key generation makes them
@@ -22,7 +25,7 @@ key-identical), because interceptors and channels are stateful.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.attacks.adversary import Eavesdropper
@@ -37,27 +40,24 @@ from repro.protocols.base import SecureAggregationProtocol
 from repro.utils.rng import derive_seed
 
 __all__ = [
+    "PATHS",
     "RunSpec",
     "PathTrace",
     "LossyLink",
     "execute_path",
     "run_both_paths",
     "assert_equivalent",
-    "count_combinations",
 ]
 
 
 class LossyLink:
     """A stateless lossy link usable identically on both execution paths.
 
-    The batched pipeline delivers messages in a different *global*
-    order than the sequential one (the per-edge relative order is
-    preserved), so a lossy link that consumed RNG state per call would
-    diverge between paths.  This one decides each drop purely from a
-    seeded hash of ``(epoch, sender, edge)`` — the same message meets
-    the same fate on either path, which is exactly what a differential
-    scenario needs (and what a real fading channel looks like to a
-    replayed trace).
+    Each drop is decided purely from a seeded hash of
+    ``(epoch, sender, edge)``, so the same message meets the same fate
+    on either path and whatever order the hops are delivered in —
+    exactly what a differential scenario needs (and what a real fading
+    channel looks like to a replayed trace).
     """
 
     def __init__(
@@ -106,10 +106,6 @@ class RunSpec:
     #: ``source_id -> epochs`` dynamic (per-epoch) reported failures.
     dynamic_failures: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
     attack_factory: AttackFactory | None = None
-    #: Batched-path knobs (ignored by the sequential path).
-    window: int = 4
-    max_workers: int | None = None
-    cache_capacity: int | None = None
     protocol_factory: Callable[["RunSpec"], SecureAggregationProtocol] | None = None
 
     def build_protocol(self) -> SecureAggregationProtocol:
@@ -135,7 +131,28 @@ class PathTrace:
         return [em.result.value if em.result is not None else None for em in self.metrics.epochs]
 
 
-def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
+#: The two execution paths: ``run()`` and a loop of ``run_epoch()``.
+PATHS = ("run", "run_epoch")
+
+
+def _run_epoch_by_epoch(simulator: NetworkSimulator, num_epochs: int) -> RunMetrics:
+    """Drive every epoch through ``run_epoch`` and sum the per-epoch ledgers."""
+    metrics = RunMetrics(protocol=simulator.protocol.name, num_sources=simulator.tree.num_sources)
+    total = metrics.traffic
+    for offset in range(num_epochs):
+        metrics.epochs.append(simulator.run_epoch(simulator.config.start_epoch + offset))
+        epoch_traffic = simulator.channel.counters
+        for ledger in ("bytes_by_class", "messages_by_class", "frame_bytes_by_class"):
+            summed = getattr(total, ledger)
+            for edge, count in getattr(epoch_traffic, ledger).items():
+                summed[edge] = summed.get(edge, 0) + count
+    metrics.source_ops = simulator.source_ops
+    metrics.aggregator_ops = simulator.aggregator_ops
+    metrics.querier_ops = simulator.querier_ops
+    return metrics
+
+
+def execute_path(spec: RunSpec, *, path: str) -> PathTrace:
     """Build the scenario from scratch and run one execution path."""
     protocol = spec.build_protocol()
     tree = build_complete_tree(spec.num_sources, spec.fanout)
@@ -157,14 +174,10 @@ def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
     spy = Eavesdropper()
     simulator.channel.add_interceptor(spy)
 
-    if batched:
-        metrics = simulator.run_batched(
-            window=spec.window,
-            max_workers=spec.max_workers,
-            cache_capacity=spec.cache_capacity,
-        )
-    else:
+    if path == "run":
         metrics = simulator.run()
+    else:
+        metrics = _run_epoch_by_epoch(simulator, spec.num_epochs)
 
     ciphertexts = {
         (epoch, sender): psr.ciphertext
@@ -175,55 +188,41 @@ def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
 
 
 def run_both_paths(spec: RunSpec) -> tuple[PathTrace, PathTrace]:
-    return execute_path(spec, batched=False), execute_path(spec, batched=True)
+    return execute_path(spec, path="run"), execute_path(spec, path="run_epoch")
 
 
-def assert_equivalent(sequential: PathTrace, batched: PathTrace, *, context: str = "") -> None:
+def assert_equivalent(whole: PathTrace, per_epoch: PathTrace, *, context: str = "") -> None:
     """Assert the full differential contract between the two traces."""
     label = f" [{context}]" if context else ""
 
-    assert batched.ciphertexts == sequential.ciphertexts, (
-        f"channel ciphertexts diverged{label}"
-    )
+    assert per_epoch.ciphertexts == whole.ciphertexts, f"channel ciphertexts diverged{label}"
 
-    seq_epochs = sequential.metrics.epochs
-    bat_epochs = batched.metrics.epochs
-    assert [em.epoch for em in seq_epochs] == [em.epoch for em in bat_epochs], (
+    run_epochs = whole.metrics.epochs
+    epo_epochs = per_epoch.metrics.epochs
+    assert [em.epoch for em in run_epochs] == [em.epoch for em in epo_epochs], (
         f"epoch schedule diverged{label}"
     )
-    for seq_em, bat_em in zip(seq_epochs, bat_epochs):
-        assert seq_em.security_failure == bat_em.security_failure, (
-            f"verdict diverged at epoch {seq_em.epoch}{label}: "
-            f"sequential={seq_em.security_failure!r} batched={bat_em.security_failure!r}"
+    for run_em, epo_em in zip(run_epochs, epo_epochs):
+        assert run_em.security_failure == epo_em.security_failure, (
+            f"verdict diverged at epoch {run_em.epoch}{label}: "
+            f"run={run_em.security_failure!r} run_epoch={epo_em.security_failure!r}"
         )
-        seq_value = seq_em.result.value if seq_em.result is not None else None
-        bat_value = bat_em.result.value if bat_em.result is not None else None
-        assert seq_value == bat_value, (
-            f"SUM diverged at epoch {seq_em.epoch}{label}: {seq_value} != {bat_value}"
+        run_value = run_em.result.value if run_em.result is not None else None
+        epo_value = epo_em.result.value if epo_em.result is not None else None
+        assert run_value == epo_value, (
+            f"SUM diverged at epoch {run_em.epoch}{label}: {run_value} != {epo_value}"
         )
-        assert seq_em.sources_reporting == bat_em.sources_reporting, label
-        assert seq_em.aggregator_merges == bat_em.aggregator_merges, label
+        assert run_em.sources_reporting == epo_em.sources_reporting, label
+        assert run_em.aggregator_merges == epo_em.aggregator_merges, label
 
     for role in ("source_ops", "aggregator_ops", "querier_ops"):
-        seq_counts = getattr(sequential.metrics, role).counts
-        bat_counts = getattr(batched.metrics, role).counts
-        assert seq_counts == bat_counts, (
-            f"{role} diverged{label}: sequential={seq_counts} batched={bat_counts}"
+        run_counts = getattr(whole.metrics, role).counts
+        epo_counts = getattr(per_epoch.metrics, role).counts
+        assert run_counts == epo_counts, (
+            f"{role} diverged{label}: run={run_counts} run_epoch={epo_counts}"
         )
 
-    assert (
-        batched.metrics.traffic.bytes_by_class == sequential.metrics.traffic.bytes_by_class
-    ), f"traffic bytes diverged{label}"
-    assert (
-        batched.metrics.traffic.messages_by_class == sequential.metrics.traffic.messages_by_class
-    ), f"traffic messages diverged{label}"
-
-
-def count_combinations(specs: Iterable[RunSpec]) -> int:
-    """Epoch/failure/tamper combinations a spec list exercises.
-
-    Each simulated epoch is one (epoch × failure-set × tamper-state)
-    point of the differential contract — the acceptance criterion
-    requires ≥ 200 of them.
-    """
-    return sum(spec.num_epochs for spec in specs)
+    for ledger in ("bytes_by_class", "messages_by_class", "frame_bytes_by_class"):
+        assert getattr(per_epoch.metrics.traffic, ledger) == getattr(
+            whole.metrics.traffic, ledger
+        ), f"traffic {ledger} diverged{label}"

@@ -1,9 +1,10 @@
 """Tamper matrix: adversary × execution path × failure mode.
 
 Every channel adversary from :mod:`repro.attacks.adversary` is mounted
-against both the sequential and the batched pipeline, under both the
-all-report regime and a failed-subset regime (static plus dynamic
-reported failures).  The contract has two layers:
+against both of the simulator's epoch loops — ``run()`` and a
+``run_epoch()`` loop — under both the all-report regime and a
+failed-subset regime (static plus dynamic reported failures).  The
+contract has two layers:
 
 * **no verdict divergence** — for every cell of the matrix, an epoch
   raises :class:`~repro.errors.VerificationFailure` in both paths or in
@@ -11,7 +12,7 @@ reported failures).  The contract has two layers:
 * **detection** — for the actively tampering adversaries, every epoch
   whose final record the attack actually touched is rejected (what
   Theorems 2/4 promise), and no clean epoch is ever rejected in either
-  path (no false positives introduced by batching).
+  path (no false positives).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.attacks.adversary import (
 from repro.network.channel import EdgeClass
 
 from tests.differential.harness import (
+    PATHS,
     RunSpec,
     assert_equivalent,
     execute_path,
@@ -77,7 +79,6 @@ def _spec(scenario: str, failure_mode: str) -> RunSpec:
         key_seed=zlib.crc32(f"{scenario}/{failure_mode}".encode()) % 100_000,
         workload_seed=42,
         attack_factory=factory,
-        window=3,
         **FAILURE_MODES[failure_mode],
     )
 
@@ -85,15 +86,15 @@ def _spec(scenario: str, failure_mode: str) -> RunSpec:
 @pytest.mark.parametrize("failure_mode", sorted(FAILURE_MODES))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_no_verdict_divergence(scenario: str, failure_mode: str) -> None:
-    """Sequential and batched must agree epoch-by-epoch, bit-by-bit."""
-    sequential, batched = run_both_paths(_spec(scenario, failure_mode))
-    assert_equivalent(sequential, batched, context=f"{scenario}/{failure_mode}")
+    """run() and run_epoch() must agree epoch-by-epoch, bit-by-bit."""
+    whole, per_epoch = run_both_paths(_spec(scenario, failure_mode))
+    assert_equivalent(whole, per_epoch, context=f"{scenario}/{failure_mode}")
 
 
 @pytest.mark.parametrize("failure_mode", sorted(FAILURE_MODES))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("batched", [False, True], ids=["sequential", "batched"])
-def test_detection_contract(scenario: str, failure_mode: str, batched: bool) -> None:
+@pytest.mark.parametrize("path", PATHS, ids=["sequential", "run_epoch"])
+def test_detection_contract(scenario: str, failure_mode: str, path: str) -> None:
     """Tampered epochs are rejected; untouched epochs are accepted."""
     factory, always_detected = SCENARIOS[scenario]
     spec = _spec(scenario, failure_mode)
@@ -107,20 +108,19 @@ def test_detection_contract(scenario: str, failure_mode: str, batched: bool) -> 
         return captured["attack"]
 
     spec.attack_factory = capturing_factory
-    trace = execute_path(spec, batched=batched)
+    trace = execute_path(spec, path=path)
     attack = captured["attack"]
     attacked_epochs = set(getattr(attack, "applications", []))
 
     for epoch, failure in trace.verdicts:
         if epoch in attacked_epochs and always_detected:
             assert failure == "VerificationFailure", (
-                f"{scenario}/{failure_mode}: attacked epoch {epoch} accepted "
-                f"({'batched' if batched else 'sequential'} path)"
+                f"{scenario}/{failure_mode}: attacked epoch {epoch} accepted ({path} path)"
             )
         if epoch not in attacked_epochs:
             assert failure is None, (
                 f"{scenario}/{failure_mode}: clean epoch {epoch} rejected with {failure} "
-                f"({'batched' if batched else 'sequential'} path) — false positive"
+                f"({path} path) — false positive"
             )
 
 
@@ -130,6 +130,6 @@ def test_matrix_includes_genuinely_attacked_epochs() -> None:
         if not always_detected:
             continue
         spec = _spec(scenario, "all-report")
-        sequential, batched = run_both_paths(spec)
+        sequential = execute_path(spec, path="run")
         rejected = [e for e, failure in sequential.verdicts if failure is not None]
         assert rejected, f"{scenario} never produced a rejected epoch"

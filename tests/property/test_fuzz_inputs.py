@@ -9,14 +9,15 @@ would be vulnerabilities in a real deployment.
 
 from __future__ import annotations
 
+import io
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layout import MessageLayout
-from repro.errors import ReproError
-from repro.network.tracing import TraceEvent
+from repro.errors import ParameterError, ReproError
+from repro.obs.trace import EVENT_KINDS, ObsEvent, TraceRecorder
 from repro.queries.predicates import parse_predicate
 from repro.queries.query import Query
 
@@ -55,14 +56,43 @@ def test_layout_decode_never_crashes(message: int) -> None:
     assert 0 <= secret < 1 << LAYOUT.secret_bits
 
 
-@settings(max_examples=100)
-@given(st.text(max_size=120))
+_TRACE_LINE = (
+    '{"seq":3,"sub":"runtime","run":"r","kind":"drop","epoch":2,'
+    '"edge":"S-A","from":4,"to":1,"attempt":0}'
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.text(max_size=120),
+        # Mutations of a valid record reach past the JSON parser.
+        st.builds(
+            lambda cut, junk: _TRACE_LINE[:cut] + junk + _TRACE_LINE[cut:],
+            st.integers(min_value=0, max_value=len(_TRACE_LINE)),
+            st.text(max_size=8),
+        ),
+        st.dictionaries(
+            st.sampled_from(["seq", "sub", "run", "kind", "epoch", "edge", "from", "to", "time"]),
+            st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.booleans(), st.none()),
+        ).map(json.dumps),
+    )
+)
 def test_trace_event_parser_rejects_junk(line: str) -> None:
+    """Trace files come from outside the program: only ParameterError escapes."""
     try:
-        event = TraceEvent.from_json(line)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return
-    assert isinstance(event.sequence, int)
+        event = ObsEvent.from_json(line)
+    except ParameterError:
+        pass
+    else:
+        assert isinstance(event.sequence, int) and event.kind in EVENT_KINDS
+    flat = line.replace("\n", " ")
+    try:
+        recorder = TraceRecorder.read_jsonl(io.StringIO(f"{_TRACE_LINE}\n{flat}\n"))
+    except ParameterError as exc:
+        assert str(exc).startswith("line 2: ")
+    else:
+        assert recorder.events[0] == ObsEvent.from_json(_TRACE_LINE)
 
 
 @settings(max_examples=100)

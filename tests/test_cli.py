@@ -194,6 +194,32 @@ def test_trace_command_diff_agreement_and_divergence(tmp_path, capsys) -> None:
     assert "difference" in capsys.readouterr().out
 
 
+def test_trace_command_rejects_malformed_input(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"seq":1}\nnot json\n')
+    assert main(["trace", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{bad}: line 1: " in captured.err and "'sub'" in captured.err
+
+
+def test_trace_command_diff_against_malformed_file_is_not_a_divergence(
+    tmp_path, capsys
+) -> None:
+    good = tmp_path / "good.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    assert main(["trace", "--substrate", "runtime", "--sources", "8", "--fanout", "2",
+                 "--epochs", "2", "--seed", "7", "--output", str(good)]) == 0
+    bad.write_text(good.read_text().splitlines()[0] + "\nnot json\n")
+    capsys.readouterr()
+    assert main(["trace", "--input", str(good), "--diff", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"repro trace: {bad}: line 2: not JSON (Expecting value at column 1)"
+    assert captured.err.strip() == expected
+
+
 def test_metrics_command_prometheus(capsys) -> None:
     assert main(["metrics", "--substrate", "runtime", "--sources", "8", "--fanout", "2",
                  "--epochs", "2", "--loss", "0.2", "--seed", "7"]) == 0
