@@ -52,7 +52,7 @@ import argparse
 import sys
 
 from repro.core.params import SIESParams
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ConfigurationError, ParameterError, SimulationError
 from repro.core.security import bounds_for
 from repro.datasets.workload import DomainScaledWorkload
 from repro.network.channel import EdgeClass
@@ -197,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--diff", default=None, metavar="PATH",
                          help="diff against another recorded trace on the determined "
                               "slice; exit 1 on disagreement")
-    trace_p.add_argument("--sequential", action="store_true",
-                         help="runtime substrate: use the historical sequential fault "
-                              "streams instead of the cluster-comparable keyed oracle")
     trace_p.add_argument("--protocol", default="sies", choices=sorted(available_protocols()))
     trace_p.add_argument("--sources", type=int, default=16)
     trace_p.add_argument("--fanout", type=int, default=4)
@@ -580,12 +577,7 @@ def _run_observed(args: argparse.Namespace, recorder=None):
     if args.substrate == "runtime":
         from repro.runtime import RuntimeConfig, RuntimeSimulator
 
-        config = RuntimeConfig(
-            num_epochs=args.epochs,
-            plan=plan,
-            seed=args.seed,
-            keyed_faults=not getattr(args, "sequential", False),
-        )
+        config = RuntimeConfig(num_epochs=args.epochs, plan=plan, seed=args.seed)
         simulator = RuntimeSimulator(protocol, tree, workload, config)
         if recorder is not None:
             simulator.set_observer(TransportTraceAdapter(recorder))
@@ -693,9 +685,20 @@ _COMMANDS = {
 }
 
 
+#: Commands that build a simulation from their knobs: a knob the library
+#: rejects there is bad input, reported in one stderr line with exit 2.
+_SIMULATION_COMMANDS = frozenset({"run", "runtime", "cluster", "trace", "metrics"})
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigurationError, SimulationError) as exc:
+        if args.command not in _SIMULATION_COMMANDS:
+            raise
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Every timeout, deadline and latency measurement in :mod:`repro.cluster`
 goes through :class:`ClusterClock` — nothing reads ``time.time()`` or
 any other wall clock (sieslint SL002).  The loop clock is *monotonic*
 (``loop.time()`` is built on ``time.monotonic``), so deadlines never
-jump when the host clock is adjusted, and all backoff *jitter* is drawn
-from :class:`~repro.utils.rng.DeterministicRandom` streams owned by the
-ARQ — the clock itself holds no randomness.
+jump when the host clock is adjusted, and all backoff *jitter* comes
+from the attempt's keyed fault verdict — the clock itself holds no
+randomness.
 
 Real sockets mean real seconds: unlike the logical ticks of
 :class:`repro.runtime.events.EventScheduler`, durations here depend on

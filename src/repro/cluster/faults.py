@@ -9,20 +9,20 @@ which is exactly the PR 3 fault semantics transplanted to real sockets.
 Determinism under real concurrency
 ----------------------------------
 
-:class:`repro.runtime.faults.FaultInjector` draws from one sequential
-stream per edge, which is deterministic under the logical-time scheduler
-but would make outcomes depend on OS timing here (pipelined epochs
-interleave their attempts on shared edges nondeterministically).  The
-cluster therefore keys every decision by the full attempt coordinate::
+Pipelined epochs interleave their attempts on shared edges in an order
+the OS decides, so the schedule must not depend on that order.  The
+runtime's :class:`~repro.runtime.faults.FaultInjector` keys every
+decision by the full attempt coordinate::
 
     (sender, receiver, parcel uid, attempt index)
 
-via independent :class:`~repro.utils.rng.DeterministicRandom` streams.
-A verdict is a pure function of the seed and that coordinate — *no
-matter when or in what order the attempts happen* — so the set of
-parcels that ultimately deliver (and hence every epoch's survivor set
-and exact SUM) is reproducible run to run and computable in advance by
-:func:`parcel_fate`, the oracle the differential tests replay.
+through one keyed hash per attempt per direction.  A verdict is a pure
+function of the seed and that coordinate — *no matter when or in what
+order the attempts happen* — so the set of parcels that ultimately
+deliver (and hence every epoch's survivor set and exact SUM) is
+reproducible run to run, identical to the event runtime's on the same
+seed, and computable in advance by :func:`parcel_fate`, the oracle the
+differential tests replay.
 
 Reused from the PR 3 plan: per-edge-class :class:`LinkProfile` loss and
 duplication rates.  Latency/jitter are *not* simulated — real sockets
@@ -32,23 +32,58 @@ rejected because the cluster has no logical clock to window them on.
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.network.channel import EdgeClass
-from repro.runtime.faults import KeyedFaultInjector, KeyedVerdict
+from repro.runtime.faults import ACK, DATA, FaultInjector, FaultPlan, LinkVerdict
 from repro.runtime.transport import RetransmitPolicy
 
 __all__ = ["StreamVerdict", "StreamFaultInjector", "parcel_fate"]
 
 
-#: The cluster's historical names for the substrate-neutral keyed oracle
-#: (:class:`~repro.runtime.faults.KeyedFaultInjector`) and its verdict.
-#: Stream labels are unchanged — same seed, same verdicts as every
-#: earlier release.
-StreamFaultInjector = KeyedFaultInjector
-StreamVerdict = KeyedVerdict
+#: The cluster's historical name for the one verdict type.
+StreamVerdict = LinkVerdict
+
+
+class StreamFaultInjector(FaultInjector):
+    """The fault oracle on a substrate without logical time.
+
+    Rejects plans with :class:`~repro.runtime.faults.BurstLoss` or
+    :class:`~repro.runtime.faults.NodeOutage` windows, and judges
+    attempts positionally by coordinate alone.
+    """
+
+    def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
+        if plan.bursts:
+            raise ConfigurationError(
+                "BurstLoss windows are defined over logical time, which the "
+                "cluster does not have; use per-edge LinkProfile loss"
+            )
+        if plan.outages:
+            raise ConfigurationError(
+                "NodeOutage windows are defined over logical time, which the "
+                "cluster does not have; model churn via failed_sources"
+            )
+        super().__init__(plan, seed=seed)
+
+    def data_verdict(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
+    ) -> LinkVerdict:
+        """Fate of data attempt *attempt* of parcel *uid*."""
+        return self.attempt(DATA, sender, receiver, edge, uid, attempt, 0.0)
+
+    def ack_verdict(
+        self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
+    ) -> bool:
+        """True when the ACK for (*uid*, *attempt*) is lost on the way back.
+
+        *sender*/*receiver* name the **data** direction (the ACK travels
+        receiver→sender).
+        """
+        return self.attempt(ACK, sender, receiver, edge, uid, attempt, 0.0).lost
 
 
 def parcel_fate(
-    injector: KeyedFaultInjector,
+    injector: StreamFaultInjector,
     policy: RetransmitPolicy,
     sender: int,
     receiver: int,

@@ -10,8 +10,9 @@ link with a MAC-layer ARQ on top:
 
 * each application send becomes one *parcel* (uid = epoch: a node sends
   exactly one PSR per epoch per hop) driven by :meth:`ClusterNode._send_reliable`
-  — bounded retransmission with exponential backoff and deterministic
-  jitter, mirroring :class:`~repro.runtime.transport.ReliableTransport`;
+  — bounded retransmission with exponential backoff, jittered by the
+  attempt's keyed verdict, mirroring
+  :class:`~repro.runtime.transport.ReliableTransport`;
 * the inner protocol frame is encoded **once** per parcel and carried
   byte-identical across retransmissions; only the envelope's attempt
   counter changes (see :mod:`repro.cluster.envelope`);
@@ -44,7 +45,6 @@ from repro.cluster.metrics import ClusterTrafficLedger
 from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
 from repro.runtime.epochs import EpochOutcome, EpochPlan, MergeInbox, Settlement
 from repro.runtime.transport import RetransmitPolicy, TransportObserver, transport_event
-from repro.utils.rng import DeterministicRandom
 from repro.wire.codec import PSRCodec
 
 __all__ = ["ClusterNode", "SourceNode", "AggregatorNode", "QuerierNode"]
@@ -68,7 +68,6 @@ class ClusterNode:
         injector: StreamFaultInjector,
         policy: RetransmitPolicy,
         clock: ClusterClock,
-        seed: int,
         edge_of_sender: dict[int, EdgeClass],
         observer: TransportObserver | None = None,
     ) -> None:
@@ -77,7 +76,6 @@ class ClusterNode:
         self.injector = injector
         self.policy = policy
         self.clock = clock
-        self.seed = seed
         #: Same ``(kind, attrs)`` hook shape as the runtime's
         #: :class:`~repro.runtime.transport.ReliableTransport`, so one
         #: trace adapter observes both substrates.
@@ -285,18 +283,6 @@ class ClusterNode:
             if event is not None:
                 event.set()
 
-    def _backoff_u(self, uid: int, attempt: int) -> float:
-        """Jitter variate for one attempt — keyed, so independent of timing."""
-        rng = DeterministicRandom(
-            self.seed,
-            "cluster",
-            "backoff",
-            f"{self.node_id}->{self._parent_id}",
-            f"uid:{uid}",
-            f"try:{attempt}",
-        )
-        return rng.random()
-
     async def _send_reliable(
         self, *, epoch: int, uid: int, manifest: frozenset[int], inner: bytes
     ) -> bool:
@@ -340,7 +326,7 @@ class ClusterNode:
                         counters.frames_sent += 1
                         counters.envelope_bytes += len(frame)
                     counters.dup_copies += verdict.copies - 1
-                timeout = self.policy.timeout_for(attempt, self._backoff_u(uid, attempt))
+                timeout = self.policy.timeout_for(attempt, verdict.backoff)
                 try:
                     await self.clock.wait_for(event.wait(), timeout)
                     return True
@@ -462,14 +448,12 @@ class QuerierNode(ClusterNode):
         codec: PSRCodec,
         *,
         num_sources: int,
-        evaluate: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(node_id, **kwargs)
         self.role = role
         self.codec = codec
         self.num_sources = num_sources
-        self.evaluate = evaluate
         #: Open epochs: settlement, and the event set once it settled.
         self._epochs: dict[int, tuple[Settlement, asyncio.Event]] = {}
 
@@ -486,7 +470,7 @@ class QuerierNode(ClusterNode):
             psr,
             envelope.manifest,
             now=self.clock.now(),
-            querier=self.role if self.evaluate else None,
+            querier=self.role,
             num_sources=self.num_sources,
         )
         settled.set()

@@ -77,10 +77,8 @@ class ClusterConfig:
     #: What the stream layer does to envelopes (loss/duplication only;
     #: time-windowed faults are rejected — see repro.cluster.faults).
     plan: FaultPlan = field(default_factory=FaultPlan)
-    #: Seed for the fault schedule and backoff jitter streams.
+    #: Seed of the fault oracle (loss, duplication, backoff jitter).
     seed: int = 0
-    #: When False, querier evaluation is skipped (pure transport runs).
-    evaluate: bool = True
     #: Source ids that are known-failed up front (never report).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
     #: ``(kind, attrs)`` hook fed from every node's ARQ and receive path
@@ -127,7 +125,6 @@ class EpochOrchestrator:
             injector=self.injector,
             policy=self.config.policy,
             clock=self.clock,
-            seed=self.config.seed,
             observer=self.config.observer,
         )
         self.sources = {
@@ -150,7 +147,6 @@ class EpochOrchestrator:
             protocol.create_querier(),
             self.codec,
             num_sources=tree.num_sources,
-            evaluate=self.config.evaluate,
             edge_of_sender={tree.root_id: tree.edge_class(tree.root_id, QUERIER_NODE_ID)},
             **common,
         )

@@ -146,21 +146,14 @@ class SIESKeyMaterial:
         """``K_t`` as an invertible integer mod ``p`` (one HM256)."""
         return _temporal_int(self._master_prf, epoch, self.p, require_invertible=True)
 
-    def source_pad_at(self, source_id: int, epoch: int) -> int:
-        """``k_i,t`` as an integer (one HM256)."""
-        return bytes_to_int(self._pad_prfs[source_id].at_epoch(epoch))
-
-    def share_digest_at(self, source_id: int, epoch: int) -> bytes:
-        """``ss_i,t`` digest bytes (one HM1); layouts truncate as needed."""
-        return self._share_prfs[source_id].at_epoch(epoch)
-
     def pads_and_shares_at(
         self, epoch: int, source_ids: Iterable[int]
     ) -> Iterator[tuple[int, bytes]]:
         """``(k_i,t, ss_i,t digest)`` per source — one HM256 and one HM1 each.
 
-        Equal to :meth:`source_pad_at` and :meth:`share_digest_at` per
-        source; the epoch is encoded once for the whole subset.
+        ``k_i,t`` is the HM256 digest as an integer; ``ss_i,t`` is the HM1
+        digest bytes (layouts truncate as needed).  The epoch is encoded
+        once for the whole subset.
         """
         encoded = encode_epoch(epoch)
         pad_prfs = self._pad_prfs

@@ -207,9 +207,6 @@ class Channel:
             )
         self._frame_interceptors.append(interceptor)
 
-    def remove_frame_interceptor(self, interceptor: FrameInterceptor) -> None:
-        self._frame_interceptors.remove(interceptor)
-
     def clear_interceptors(self) -> None:
         """Detach every adversary, at both the frame and the PSR layer."""
         self._interceptors.clear()

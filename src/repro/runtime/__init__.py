@@ -2,7 +2,7 @@
 
 Where :mod:`repro.network` executes epochs as a lossless function-call
 chain, this package drives them through a deterministic event scheduler
-over faulty links: seeded per-edge loss/latency/duplication, burst
+over faulty links: attempt-keyed loss/latency/duplication, burst
 outages and node churn (:mod:`repro.runtime.faults`), a per-hop
 ACK/retransmission layer with exponential backoff
 (:mod:`repro.runtime.transport`), the clock-free hold-and-wait epoch

@@ -173,21 +173,20 @@ class Settlement:
         manifest: frozenset[int],
         *,
         now: float,
-        querier: QuerierRole | None,
+        querier: QuerierRole,
         num_sources: int,
     ) -> EpochOutcome:
-        """Settle on the first final PSR; *querier* None skips evaluation."""
+        """Settle on the first final PSR: evaluate it over the survivors."""
         plan = self.plan
         recovery = EpochRecovery.from_final_manifest(
             plan.epoch, attempted=plan.attempted, manifest=manifest, pre_failed=plan.pre_failed
         )
         outcome = EpochOutcome(plan.epoch, recovery, completion_latency=now - self.started_at)
-        if querier is not None:
-            subset = recovery.reporting_subset(num_sources)
-            try:
-                outcome.result = querier.evaluate(plan.epoch, psr, reporting_sources=subset)
-            except SecurityError as exc:
-                outcome.security_failure = type(exc).__name__
+        subset = recovery.reporting_subset(num_sources)
+        try:
+            outcome.result = querier.evaluate(plan.epoch, psr, reporting_sources=subset)
+        except SecurityError as exc:
+            outcome.security_failure = type(exc).__name__
         self.outcome = outcome
         return outcome
 

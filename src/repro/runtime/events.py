@@ -9,8 +9,9 @@ never by wall clocks.  Determinism rests on two invariants:
   is assigned at scheduling time — ties are broken by scheduling order,
   which is itself deterministic;
 * no component reads ``time.time()``/``random`` globals; all randomness
-  flows through :class:`~repro.utils.rng.DeterministicRandom` streams
-  owned by the fault injector and transport.
+  is the fault injector's keyed draws
+  (:func:`~repro.utils.rng.keyed_uniforms`), pure functions of the seed
+  and the attempt coordinate.
 
 The scheduler is intentionally minimal (a binary heap and a cancel
 flag): protocols and transports build timers, timeouts and deadlines

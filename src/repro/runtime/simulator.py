@@ -37,7 +37,7 @@ from repro.network.topology import QUERIER_NODE_ID, AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epochs import EpochOutcome, EpochSchedule, MergeInbox, Settlement
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import FaultInjector, FaultPlan, KeyedFaultInjector
+from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.metrics import RuntimeRunMetrics
 from repro.runtime.transport import (
     ReliableTransport,
@@ -70,18 +70,10 @@ class RuntimeConfig:
     policy: RetransmitPolicy = field(default_factory=RetransmitPolicy)
     #: What the network does to packets (see :class:`FaultPlan`).
     plan: FaultPlan = field(default_factory=FaultPlan)
-    #: Seed for every runtime randomness stream (links, backoff jitter).
+    #: Seed of the fault oracle (link verdicts, latencies, backoff jitter).
     seed: int = 0
-    #: When False, querier evaluation is skipped (pure transport runs).
-    evaluate: bool = True
     #: Source ids that are known-failed up front (never report).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
-    #: When True, link verdicts come from the attempt-coordinate-keyed
-    #: oracle the TCP cluster uses (uid = epoch) instead of the
-    #: historical sequential per-edge streams: same seed + plan then
-    #: yields the *same* loss schedule as the cluster, making traces
-    #: comparable across substrates.  Keyed plans reject bursts/outages.
-    keyed_faults: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int("num_epochs", self.num_epochs)
@@ -114,14 +106,9 @@ class RuntimeSimulator:
         # (encoded once per parcel, retransmitted byte-identically).
         self.channel = Channel(codec=protocol.wire_codec())
         self.scheduler = EventScheduler()
-        injector = KeyedFaultInjector if self.config.keyed_faults else FaultInjector
-        self.injector = injector(self.config.plan, seed=self.config.seed)
+        self.injector = FaultInjector(self.config.plan, seed=self.config.seed)
         self.transport = ReliableTransport(
-            self.scheduler,
-            self.injector,
-            self.channel,
-            self.config.policy,
-            seed=self.config.seed,
+            self.scheduler, self.injector, self.channel, self.config.policy
         )
         self.schedule = EpochSchedule(
             tree, hold_time=self.config.hold_time, querier_slack=self.config.querier_slack
@@ -254,12 +241,11 @@ class RuntimeSimulator:
         if receiver == QUERIER_NODE_ID:
             settlement = self._settlements.get(epoch)
             if settlement is not None and not settlement.settled:
-                querier = self._querier if self.config.evaluate else None
                 settlement.settle(
                     message.psr,
                     manifest,
                     now=self.scheduler.now,
-                    querier=querier,
+                    querier=self._querier,
                     num_sources=self.tree.num_sources,
                 )
                 return

@@ -8,16 +8,15 @@ the reporting-subset mechanism.  This module models the MAC half:
 * each physical attempt passes through the legitimate
   :class:`~repro.network.channel.Channel` (so adversary interceptors
   and byte counters see retransmissions exactly like first attempts)
-  and then through the fault injector — the sequential
-  :class:`~repro.runtime.faults.FaultInjector` or the attempt-keyed
-  :class:`~repro.runtime.faults.KeyedFaultInjector`, asked the same two
-  questions (``data_delays``, ``ack_delay``);
+  and then through the attempt-keyed
+  :class:`~repro.runtime.faults.FaultInjector`, keyed by the parcel's
+  epoch as its uid, as the TCP cluster keys it;
 * the receiver delivers the first copy to the application, suppresses
   duplicates by parcel id, and always returns a transport-level ACK
   (itself subject to link faults on the reverse direction);
 * the sender arms a retransmission timer per attempt — exponential
-  backoff with deterministic jitter — and gives up after the retry
-  budget, invoking the sender's failure callback.
+  backoff, jittered by the attempt's keyed verdict — and gives up after
+  the retry budget, invoking the sender's failure callback.
 
 A sender "giving up" does **not** retract a copy that actually arrived
 (the ACK may be the lost half): correctness downstream derives from
@@ -33,8 +32,7 @@ from repro.errors import ParameterError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler, ScheduledEvent
-from repro.runtime.faults import FaultInjector, KeyedFaultInjector
-from repro.utils.rng import DeterministicRandom
+from repro.runtime.faults import ACK, DATA, FaultInjector
 
 __all__ = [
     "RetransmitPolicy",
@@ -183,11 +181,10 @@ class ReliableTransport:
     def __init__(
         self,
         scheduler: EventScheduler,
-        injector: FaultInjector | KeyedFaultInjector,
+        injector: FaultInjector,
         channel: Channel,
         policy: RetransmitPolicy,
         *,
-        seed: int = 0,
         stats: TransportStats | None = None,
         observer: TransportObserver | None = None,
     ) -> None:
@@ -198,7 +195,6 @@ class ReliableTransport:
         self.stats = stats if stats is not None else TransportStats()
         #: Optional observability hook (see :data:`TransportObserver`).
         self.observer = observer
-        self._backoff_rng = DeterministicRandom(seed, "transport", "backoff")
         self._next_uid = 0
         #: Parcel uids already delivered to the application at each receiver.
         self._seen: dict[int, set[int]] = {}
@@ -246,41 +242,33 @@ class ReliableTransport:
             parcel.frame = self.channel.codec.encode(message.psr)
         outcome = self.channel.transmit(message, parcel.edge, frame=parcel.frame)
         self._notify("attempt", parcel, attempt_index)
-        if outcome is not None:
-            # The keyed oracle takes the epoch as parcel uid, as the TCP
-            # cluster does: same seed, same loss schedule on both.
-            latencies = self.injector.data_delays(
-                message.sender,
-                message.receiver,
-                parcel.edge,
-                message.epoch,
-                attempt_index,
-                self.scheduler.now,
-            )
-            if not latencies:
-                self._notify("drop", parcel, attempt_index, cause="link")
-            for latency in latencies:
+        verdict = self.injector.attempt(
+            DATA,
+            message.sender,
+            message.receiver,
+            parcel.edge,
+            message.epoch,
+            attempt_index,
+            self.scheduler.now,
+        )
+        if outcome is None:
+            # The channel itself swallowed the frame (adversary drop or
+            # decode failure): the link's verdict has nothing to carry.
+            self._notify("drop", parcel, attempt_index, cause="channel")
+        elif verdict.lost:
+            self._notify("drop", parcel, attempt_index, cause="link")
+        else:
+            for latency in verdict.latencies:
                 self.scheduler.call_later(
                     latency,
                     lambda m=outcome, p=parcel, a=attempt_index: self._arrive(p, m, a),
                 )
-        else:
-            # The channel itself swallowed the frame (adversary drop or
-            # decode failure) before the link lottery even ran.
-            self._notify("drop", parcel, attempt_index, cause="channel")
 
         # Arm the retransmission timer regardless of what the link did —
         # the sender cannot observe loss, only missing ACKs.
-        if attempt_index < self.policy.max_retries:
-            delay = self.policy.timeout_for(attempt_index, self._backoff_rng.random())
-            parcel.timer = self.scheduler.call_later(
-                delay, lambda p=parcel: self._retransmit(p)
-            )
-        else:
-            delay = self.policy.timeout_for(attempt_index, self._backoff_rng.random())
-            parcel.timer = self.scheduler.call_later(
-                delay, lambda p=parcel: self._give_up(p)
-            )
+        delay = self.policy.timeout_for(attempt_index, verdict.backoff)
+        expire = self._retransmit if attempt_index < self.policy.max_retries else self._give_up
+        parcel.timer = self.scheduler.call_later(delay, lambda p=parcel: expire(p))
 
     def _retransmit(self, parcel: Parcel) -> None:
         if parcel.acked:
@@ -336,15 +324,15 @@ class ReliableTransport:
         # The transport ACKs every copy (the sender may have missed the
         # previous ACK); the reverse direction suffers the same faults.
         TransportStats._bump(self.stats.acks_sent, parcel.edge)
-        delay = self.injector.ack_delay(
-            message.sender, receiver, parcel.edge, message.epoch, attempt_index, now
+        ack = self.injector.attempt(
+            ACK, message.sender, receiver, parcel.edge, message.epoch, attempt_index, now
         )
-        if delay is None:
+        if ack.lost:
             TransportStats._bump(self.stats.acks_lost, parcel.edge)
             self._notify("ack_lost", parcel, attempt_index)
             return
         # Multiple ACK copies collapse into the first; extras are no-ops.
-        self.scheduler.call_later(delay, lambda p=parcel: self._ack(p))
+        self.scheduler.call_later(ack.latencies[0], lambda p=parcel: self._ack(p))
 
     def _ack(self, parcel: Parcel) -> None:
         if parcel.acked:

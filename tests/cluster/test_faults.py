@@ -95,16 +95,6 @@ class TestRates:
         assert not injector.data_verdict(0, 1, EDGE, 1, 0).lost
         assert injector.data_verdict(0, -1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0).lost
 
-    def test_verdict_diagnostics_count_per_edge(self) -> None:
-        injector = StreamFaultInjector(PLAN, seed=5)
-        injector.data_verdict(0, 1, EDGE, 1, 0)
-        injector.data_verdict(0, 1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0)
-        injector.data_verdict(0, 1, EDGE, 1, 1)
-        assert injector.verdicts_by_class == {
-            EDGE: 2,
-            EdgeClass.AGGREGATOR_TO_QUERIER: 1,
-        }
-
 
 class TestTimeWindowedFeaturesRejected:
     def test_bursts_rejected(self) -> None:

@@ -45,7 +45,6 @@ class _Hop:
             injector=self.injector,
             policy=policy,
             clock=ClusterClock(),
-            seed=seed,
         )
         self.parent = AggregatorNode(
             1,

@@ -45,12 +45,9 @@ def test_temporal_derivations_match_paper_formulas(material: SIESKeyMaterial) ->
     assert material.master_key_at(epoch) == int.from_bytes(
         HM256(material.master_key, encode_epoch(epoch)), "big"
     )
-    assert material.source_pad_at(3, epoch) == int.from_bytes(
-        HM256(material.source_keys[3], encode_epoch(epoch)), "big"
-    )
-    assert material.share_digest_at(3, epoch) == HM1(
-        material.source_keys[3], encode_epoch(epoch)
-    )
+    ((pad, share),) = material.pads_and_shares_at(epoch, [3])
+    assert pad == int.from_bytes(HM256(material.source_keys[3], encode_epoch(epoch)), "big")
+    assert share == HM1(material.source_keys[3], encode_epoch(epoch))
 
 
 def test_master_key_at_is_invertible(material: SIESKeyMaterial) -> None:
@@ -67,7 +64,8 @@ def test_source_registration_bundle(material: SIESKeyMaterial) -> None:
     assert bundle.p == P
     # the source derives exactly what the querier derives
     assert bundle.pad_prf().at_epoch(3) == HM256(material.source_keys[5], encode_epoch(3))
-    assert bundle.share_prf().at_epoch(3) == material.share_digest_at(5, 3)
+    ((_, share),) = material.pads_and_shares_at(3, [5])
+    assert bundle.share_prf().at_epoch(3) == share
 
 
 def test_keys_for_unknown_source(material: SIESKeyMaterial) -> None:
@@ -87,6 +85,7 @@ def test_constructor_validation() -> None:
 
 
 def test_distinct_sources_have_distinct_temporal_keys(material: SIESKeyMaterial) -> None:
-    pads = {material.source_pad_at(i, 1) for i in range(8)}
-    shares = {material.share_digest_at(i, 1) for i in range(8)}
+    derived = list(material.pads_and_shares_at(1, range(8)))
+    pads = {pad for pad, _ in derived}
+    shares = {share for _, share in derived}
     assert len(pads) == 8 and len(shares) == 8

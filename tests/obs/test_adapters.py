@@ -32,9 +32,7 @@ def _runtime_simulator(*, loss: float, seed: int = 11, epochs: int = 3) -> Runti
     protocol = SIESProtocol(N, seed=seed)
     tree = build_complete_tree(N, 4)
     workload = UniformWorkload(N, 1, 50, seed=seed)
-    config = RuntimeConfig(
-        num_epochs=epochs, plan=FaultPlan.uniform_loss(loss), seed=seed, keyed_faults=True
-    )
+    config = RuntimeConfig(num_epochs=epochs, plan=FaultPlan.uniform_loss(loss), seed=seed)
     return RuntimeSimulator(protocol, tree, workload, config)
 
 

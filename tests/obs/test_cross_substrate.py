@@ -1,10 +1,10 @@
 """The tentpole acceptance test: one trace schema across substrates.
 
-Same seed, tree, workload and fault plan through the keyed event
-runtime and the asyncio TCP cluster must yield *identical*
-seed-determined disposition slices — per-epoch delivered/dropped sets
-of hops — because both substrates consult the same attempt-keyed fault
-oracle (``DeterministicRandom(seed, "cluster", ...)``).  Timing-
+Same seed, tree, workload and fault plan through the event runtime and
+the asyncio TCP cluster must yield *identical* seed-determined
+disposition slices — per-epoch delivered/dropped sets of hops — because
+both substrates consult the same attempt-keyed fault oracle
+(:class:`repro.runtime.faults.FaultInjector`).  Timing-
 dependent kinds (duplicates, ACK losses, give-ups) are recorded but
 excluded from the compared slice.
 """
@@ -34,7 +34,7 @@ def _runtime_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object
         SIESProtocol(n, seed=seed),
         build_complete_tree(n, fanout),
         DomainScaledWorkload(n, scale=100, seed=seed),
-        RuntimeConfig(num_epochs=epochs, seed=seed, plan=plan, keyed_faults=True),
+        RuntimeConfig(num_epochs=epochs, seed=seed, plan=plan),
     )
     simulator.set_observer(TransportTraceAdapter(recorder))
     return recorder, simulator.run()

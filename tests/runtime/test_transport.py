@@ -9,7 +9,7 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.protocols.base import PartialStateRecord
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import FaultInjector, FaultPlan, LinkProfile, NodeOutage
+from repro.runtime.faults import ACK, DATA, FaultInjector, FaultPlan, LinkProfile, NodeOutage
 from repro.runtime.transport import ReliableTransport, RetransmitPolicy
 
 
@@ -29,7 +29,6 @@ def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, s
         FaultInjector(plan, seed=seed),
         Channel(),
         policy or RetransmitPolicy(),
-        seed=seed,
     )
     return scheduler, transport
 
@@ -121,14 +120,14 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     injector = FaultInjector(plan, seed=0)
     real_attempt = injector.attempt
 
-    def asymmetric(sender, receiver, edge, now):
-        verdict = real_attempt(sender, receiver, edge, now)
-        if sender == 1:  # the ACK direction
-            return type(verdict)(lost=True, latencies=())
+    def asymmetric(direction, *coordinate):
+        verdict = real_attempt(direction, *coordinate)
+        if direction == ACK:
+            return type(verdict)(lost=True, copies=0)
         return verdict
 
     injector.attempt = asymmetric  # type: ignore[method-assign]
-    transport = ReliableTransport(scheduler, injector, Channel(), policy, seed=0)
+    transport = ReliableTransport(scheduler, injector, Channel(), policy)
     delivered: list[frozenset[int]] = []
     failed: list[int] = []
     parcel = transport.send(
@@ -165,9 +164,7 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
     channel = Channel()
     seen: list[int] = []
     channel.add_interceptor(lambda m, e: (seen.append(m.epoch), m)[1])
-    transport = ReliableTransport(
-        scheduler, FaultInjector(plan, seed=0), channel, policy, seed=0
-    )
+    transport = ReliableTransport(scheduler, FaultInjector(plan, seed=0), channel, policy)
     transport.send(
         DataMessage(0, 1, 7, StubPSR(7)),
         EdgeClass.SOURCE_TO_AGGREGATOR,
@@ -194,7 +191,6 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
         FaultInjector(FaultPlan.lossless(), seed=0),
         channel,
         RetransmitPolicy(max_retries=4, ack_timeout=3.0, jitter=0.0),
-        seed=0,
     )
     delivered: list[frozenset[int]] = []
     transport.send(
@@ -206,3 +202,24 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     scheduler.run()
     assert delivered == [frozenset({0})]
     assert transport.stats.retransmissions[EdgeClass.SOURCE_TO_AGGREGATOR] == 2
+
+
+def test_backoff_jitter_comes_from_the_keyed_verdict() -> None:
+    """Retransmission timers read the jitter slice of their attempt's draw."""
+    plan = FaultPlan.uniform_loss(1.0, latency=1.0, jitter=0.0)
+    policy = RetransmitPolicy(max_retries=3, ack_timeout=4.0, backoff=2.0, jitter=0.5)
+    scheduler, transport = make_transport(plan, policy, seed=9)
+    attempts: list[tuple[float, int]] = []
+    transport.observer = lambda kind, attrs: (
+        attempts.append((attrs["time"], attrs["attempt"])) if kind == "attempt" else None
+    )
+    send_one(transport, epoch=5)
+    scheduler.run()
+    expected, now = [], 0.0
+    for attempt in range(policy.max_attempts):
+        expected.append((now, attempt))
+        verdict = transport.injector.attempt(
+            DATA, 0, 1, EdgeClass.SOURCE_TO_AGGREGATOR, 5, attempt, now
+        )
+        now += policy.timeout_for(attempt, verdict.backoff)
+    assert attempts == expected

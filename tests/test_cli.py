@@ -204,6 +204,30 @@ def test_trace_command_rejects_malformed_input(tmp_path, capsys) -> None:
     assert f"{bad}: line 1: " in captured.err and "'sub'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["runtime", "--loss", "1.5"], "loss_rate must be in [0, 1], got 1.5"),
+        (["runtime", "--sources", "0"], "num_sources must be positive, got 0"),
+        (["runtime", "--max-retries", "-1"], "max_retries must be >= 0, got -1"),
+        (["runtime", "--fanout", "1"], "fanout must be at least 2"),
+        (["cluster", "--window", "0"], "window must be a positive integer, got 0"),
+        (["cluster", "--hold-time", "0"], "hold_time must be positive"),
+        (["trace", "--substrate", "cluster", "--loss", "-0.1"],
+         "loss_rate must be in [0, 1], got -0.1"),
+        (["metrics", "--epochs", "0"], "num_epochs must be a positive integer, got 0"),
+    ],
+    ids=["runtime-loss", "runtime-sources", "runtime-max-retries", "runtime-fanout",
+         "cluster-window", "cluster-hold-time", "trace-cluster-loss", "metrics-epochs"],
+)
+def test_rejected_knob_is_one_stderr_line_and_exit_2(argv, message, capsys) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"repro {argv[0]}: {message}")
+
+
 def test_trace_command_diff_against_malformed_file_is_not_a_divergence(
     tmp_path, capsys
 ) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.utils.rng import DeterministicRandom, derive_seed
+import hashlib
+import struct
+
+from repro.utils.rng import DeterministicRandom, derive_seed, keyed_uniforms
 
 
 def test_same_seed_same_stream() -> None:
@@ -38,3 +41,22 @@ def test_random_bytes_length_and_determinism() -> None:
     assert len(data) == 20
     assert DeterministicRandom(5, "bytes").random_bytes(20) == data
     assert DeterministicRandom(5, "bytes").random_bytes(0) == b""
+
+
+def test_keyed_uniforms_are_digest_slices() -> None:
+    key, coordinate = 2**64 - 1, (0, 7, -1, 12, 3)
+    draw = keyed_uniforms(key, *coordinate, count=5)
+    digest = hashlib.blake2b(struct.pack(">Q5q", key, *coordinate), digest_size=40).digest()
+    words = struct.unpack(">5Q", digest)
+    assert draw == tuple((word >> 11) / 2**53 for word in words)
+    assert all(0.0 <= u < 1.0 for u in draw)
+    # A pure function: no state, so repeating a draw repeats it exactly.
+    assert keyed_uniforms(key, *coordinate, count=5) == draw
+
+
+def test_keyed_uniforms_separate_coordinates_and_keys() -> None:
+    base = keyed_uniforms(1, 0, 1, 2, 3, 4, count=2)
+    assert keyed_uniforms(2, 0, 1, 2, 3, 4, count=2) != base
+    assert keyed_uniforms(1, 1, 1, 2, 3, 4, count=2) != base
+    assert keyed_uniforms(1, 0, 1, 2, 3, 5, count=2) != base
+    assert len(keyed_uniforms(1, 0, count=8)) == 8
