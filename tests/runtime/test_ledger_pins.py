@@ -72,7 +72,7 @@ MATRIX: dict[str, tuple[str, dict]] = {
         # Sources 0-3 are one aggregator's whole subtree.
         {"plan": FaultPlan.uniform_loss(0.1), "failed_sources": frozenset({0, 1, 2, 3, 9})},
     ),
-    "keyed35": ("sies", {"plan": FaultPlan.uniform_loss(0.35), "keyed_faults": True}),
+    "keyed35": ("sies", {"plan": FaultPlan.uniform_loss(0.35)}),
     "cmt": ("cmt", {"plan": FaultPlan.uniform_loss(0.2)}),
     # Span = hold·(height+1) + slack = 140 > interval: every merge
     # deadline ties with a later epoch's start event, and retransmitted
@@ -88,40 +88,42 @@ MATRIX: dict[str, tuple[str, dict]] = {
     ),
 }
 
-#: name -> (ledger digest, observer-stream digest), recorded before the
-#: runtime's epoch rules moved into :mod:`repro.runtime.epochs`.
+#: name -> (ledger digest, observer-stream digest).  ``lossless`` was
+#: recorded before the runtime's epoch rules moved into
+#: :mod:`repro.runtime.epochs`; the lossy entries were re-recorded once
+#: when the one attempt-keyed fault oracle replaced the per-edge streams.
 PINNED: dict[str, tuple[str, str]] = {
     "burst_outages": (
-        "178d0705ffedcd4acdce3ff74d43b16d601928b7fdb2e58d280a21023717d55b",
-        "c6aef7a912adb7a9cdd914e8af0fc5576215945110a582b4f11d21c9c07ee0f5",
+        "697f9cbfc060f683b9051ecafc1ae3a945ea40b8675ecc0bf0ece4613c1a353a",
+        "d93f88067ed1eb3d083d588250d7931498efaaabe5fc903b11d7db68b35998dd",
     ),
     "cmt": (
-        "e271bdb55aad4f2a0dcd21e94a8bfe268889f8b9138a58725ce4f18ba113d0f4",
-        "a8310a962b6b7f910ece0d56642ea6b2d1d8c1f9bf1248f759ba063cb56e99de",
+        "348fa5c447a9b9f98fae97590210e6f140f24ea79d6ef606749abf9708d67ce7",
+        "e776987dc0675249e2d90e7c678aa0c822c786d6f62a1c237ce65311f6a81f1c",
     ),
     "failed_sources": (
-        "cc265f669ff7926b58dcfe4dcd832d16fd20f1a17326a759ca3b1a8a7daca4b7",
-        "9037c99973f6d4dbdb01cbf692c03ab51729fe3419b2aec9681651207252460a",
+        "29f38d8b6a477c28499522092081864a452aa7d64f8d9405d3ca5cddab0f7adb",
+        "303c6b2e4ad46b2fda5498998f55d884bb6fcdfcbb506243287cb74dd9b663f6",
     ),
     "keyed35": (
-        "b2dcfd04f0b9d1ee44c338f934b212d723092fab3587f1150c6642db3df4d195",
-        "f2f91d146a0200a2d4dcee9b6abb700acecdbcde8af6555dddc013f227419204",
+        "8727f6100b1c2afd180ef42a6e9e58214454b40aec643e479fec62ae6ee265fe",
+        "e0e4bfe408459d0fba7c752334762953ab9bbf5f19bd5e76d78249276d62a17d",
     ),
     "loss20": (
-        "8cf318454971d8171223d4cd5c56c3ac6395aa6b6e4b3c3a81efc99d3e9e86aa",
-        "a8310a962b6b7f910ece0d56642ea6b2d1d8c1f9bf1248f759ba063cb56e99de",
+        "6b0f7cc062b99081decfaf0e1b7e8116a38dc5996b0889c5e8a9de565a34e9cd",
+        "e776987dc0675249e2d90e7c678aa0c822c786d6f62a1c237ce65311f6a81f1c",
     ),
     "loss50_dup30": (
-        "48cef0e7822f911ef4107da5f7b2d876e7ab3c1f4d95bcfbf732ed6a111ea17b",
-        "ae44908e10c891aa5c5c8bf8a431334e6d70768aabab6d19cf26ad593bc00082",
+        "c074c83ded62a5703ae5fc81e6646ea373f0e16b33570b3f36a1477d24932f3b",
+        "9399b858c9c7f08c2d5cb64b62388c76f3395676d396ca86716a5aa4d2d92263",
     ),
     "lossless": (
         "e773293c0c19098137f2035835c06e10b0cdb037624da6484b36e9f63f3148ee",
         "659820e732f82d1e25d7cfded5cec7c54f50c3b695798b579fe4bb23ae717c39",
     ),
     "pipelined_ties": (
-        "a989983b18ae3331e29305a39b14e4e20370dfa664817a94afedf6069a463851",
-        "9b90dd3c1038692691e14db7e435d2a1d0e288835d23257aeb55608b40e6b04a",
+        "ad79e7a66b12e7e007101950755bf10a8f005774afa4dd32d39b0745742608a9",
+        "3948d4729dc96d3aef2b0d60ffb406abfc3c4c3417ceae1411ab4c0717d0eafa",
     ),
 }
 
